@@ -53,6 +53,10 @@ class OrderCap(QrlabError):
     pass
 
 
+class NotAGroup(QrlabError):
+    """A table breaks a group law, directly or in data derived from it."""
+
+
 class NotAbelian(QrlabError):
     pass
 
@@ -66,6 +70,10 @@ class NotNormalWhenRequired(QrlabError):
 
 
 # -- metrics ----------------------------------------------------------------
+
+class ShapeMismatch(QrlabError):
+    pass
+
 
 class SideTooLarge(QrlabError):
     pass

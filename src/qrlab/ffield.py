@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DivisionByZero, FieldMismatch, NotPrime, OrderOverflow, ReducibleModulus
 
 ORDER_CAP = 2 ** 63
-TABLE_CAP = 4096  # largest q for which dense index op-tables are built
+TABLE_CAP = 4096  # largest q of a dense op-table, largest order of a group table
 
 
 def is_prime(m: int) -> bool:
@@ -158,6 +158,7 @@ def _prime_factors(n):
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def _default_modulus(p, n):
     """Lexicographically smallest monic irreducible of degree n over GF(p).
 

@@ -18,12 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegeneracyNotResolved, NotAbelian, OrderCap
-from .grp import GroupTable, character_phases, conjugacy_classes
+from .errors import DegeneracyNotResolved, NotAGroup, OrderCap
+from .grp import (GroupTable, character_phases, conjugacy_classes, per_group,
+                  readonly)
 from .quasi import (FLOAT_SLACK, cayley_bipartite, eps1_quasirandomness,
                     eps3_spectral)
 
-GROUP_CAP = 4096
 IRREP_CAP = 512
 COR25_CAP = 1024
 CHAR_TOL = 1e-9
@@ -52,7 +52,6 @@ class CharacterData:
     characters: np.ndarray  # complex, (order, order)
     exponent: int
     phases: np.ndarray  # int, (order, order); value = exp(2 pi i phase/exponent)
-    dual_labels: tuple
 
     @property
     def trivial_index(self) -> int:
@@ -65,8 +64,6 @@ def subset_qr_spectral(g: GroupTable, d: np.ndarray, seed: int = 0) -> SubsetQR:
     Equals the maximal nontrivial Fourier operator norm of the normalized
     indicator of D, for any finite group.
     """
-    if g.order > GROUP_CAP:
-        raise OrderCap(f"group order {g.order} exceeds {GROUP_CAP}")
     d = np.asarray(d, dtype=bool)
     bg = cayley_bipartite(g, d)
     # eps3 = sigma/sqrt(|H|^2) = sigma/|H|, exactly the subset parameter
@@ -74,18 +71,18 @@ def subset_qr_spectral(g: GroupTable, d: np.ndarray, seed: int = 0) -> SubsetQR:
     return SubsetQR(group=g, subset=d, eps=eps, err=err, method="spectral")
 
 
+@per_group
 def abelian_characters(g: GroupTable) -> CharacterData:
     """All |H| characters of an abelian group, verified orthogonal."""
-    if g.order > GROUP_CAP:
-        raise OrderCap(f"group order {g.order} exceeds {GROUP_CAP}")
     exponent, phases = character_phases(g)  # raises NotAbelian
     chars = np.exp(2j * np.pi * phases / exponent)
     gram = chars @ chars.conj().T
-    assert np.abs(gram - g.order * np.eye(g.order)).max() <= CHAR_TOL * g.order
-    assert np.abs(chars[:, g.identity] - 1.0).max() <= CHAR_TOL
-    labels = tuple(tuple(int(v) for v in row) for row in phases)
-    return CharacterData(group=g, characters=chars, exponent=exponent,
-                         phases=phases, dual_labels=labels)
+    if np.abs(gram - g.order * np.eye(g.order)).max() > CHAR_TOL * g.order:
+        raise NotAGroup("abelian characters are not orthogonal")
+    if np.abs(chars[:, g.identity] - 1.0).max() > CHAR_TOL:
+        raise NotAGroup("an abelian character is not 1 at the identity")
+    return CharacterData(group=g, characters=readonly(chars),
+                         exponent=exponent, phases=phases)
 
 
 def subset_qr_characters(g: GroupTable, d: np.ndarray) -> SubsetQR:
@@ -106,6 +103,7 @@ def subset_qr_characters(g: GroupTable, d: np.ndarray) -> SubsetQR:
                     method="abelian_characters")
 
 
+@per_group
 def _class_constants(g: GroupTable):
     """Class multiplication data: returns (classes, class_of, action matrices).
 
@@ -124,10 +122,11 @@ def _class_constants(g: GroupTable):
         for j in range(k):
             prods = g.table[np.ix_(classes[i], classes[j])]
             counts = np.bincount(class_of[prods.ravel()], minlength=k)
-            assert (counts % sizes == 0).all()
+            if (counts % sizes).any():
+                raise NotAGroup("class product counts are not divisible by class sizes")
             m[:, j] = counts / sizes
-        mats.append(m)
-    return classes, class_of, mats
+        mats.append(readonly(m))
+    return classes, readonly(class_of), tuple(mats)
 
 
 def irrep_dimensions(g: GroupTable, seed: int = 0) -> list:

@@ -8,18 +8,18 @@ masks over ids, so all downstream counting is plain array algebra.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Optional
 
 import numpy as np
 
-from .errors import (CosetMismatch, NotAbelian, NotNormalWhenRequired,
-                     OrderCap, QrlabError)
+from . import ffield
+from .errors import (CosetMismatch, NotAbelian, NotAGroup,
+                     NotNormalWhenRequired, OrderCap, QrlabError)
 from .ffield import FieldSpec, ops
 
-TABLE_CAP = 4096
 EXHAUSTIVE_LAW_CAP = 512
 RANDOM_TRIPLES = 10 ** 5
 SUBGROUP_LATTICE_CAP = 20000
@@ -36,7 +36,11 @@ class GroupTable:
     label: str = "table"
     element_names: Optional[tuple] = None
     field: Optional[FieldSpec] = None
-    carrier: Optional[object] = None
+    # `field` above shadows dataclasses.field from here on in the class body
+    sl2_entries: Optional[np.ndarray] = dataclasses.field(  # (order, 4): a, b, c, d
+        default=None, init=False, repr=False, compare=False)
+    derived: dict = dataclasses.field(  # per_group results, keyed by function
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -71,51 +75,71 @@ class GroupTable:
         return f"{self.label} group of order {self.order}"
 
 
+def per_group(fn):
+    """Memoizes fn(g) in g.derived, so data the table fixes (characters,
+    classes, class constants) is computed once per GroupTable instance.
+    Every caller shares the result, so fn returns its arrays read-only.
+    """
+    @wraps(fn)
+    def cached(g: GroupTable):
+        if fn not in g.derived:
+            g.derived[fn] = fn(g)
+        return g.derived[fn]
+    return cached
+
+
+def readonly(a: np.ndarray) -> np.ndarray:
+    """Marks a freshly built array read-only and returns it."""
+    a.flags.writeable = False
+    return a
+
+
 def _verify_laws(gt: GroupTable, seed: int = 0) -> None:
     n = gt.order
     t = gt.table
     ids = np.arange(n)
-    assert t.shape == (n, n)
+    if t.shape != (n, n):
+        raise NotAGroup(f"table shape {t.shape} is not ({n}, {n})")
     # Latin square: each row and column is a permutation
     for axis in (0, 1):
         s = np.sort(t, axis=axis)
         if not np.array_equal(s, np.broadcast_to(ids[:, None] if axis == 0
                                                  else ids[None, :], (n, n))):
-            raise QrlabError("multiplication table is not a Latin square")
+            raise NotAGroup("multiplication table is not a Latin square")
     e = gt.identity
     if not (np.array_equal(t[e], ids) and np.array_equal(t[:, e], ids)):
-        raise QrlabError("identity law fails")
+        raise NotAGroup("identity law fails")
     if not (np.array_equal(t[ids, gt.inv], np.full(n, e))
             and np.array_equal(t[gt.inv, ids], np.full(n, e))):
-        raise QrlabError("inverse law fails")
+        raise NotAGroup("inverse law fails")
     if n <= EXHAUSTIVE_LAW_CAP:
         for a in range(n):
             # (a·b)·c vs a·(b·c) for all b, c at once
             if not np.array_equal(t[t[a], :], t[a][t]):
-                raise QrlabError(f"associativity fails at a={a}")
+                raise NotAGroup(f"associativity fails at a={a}")
     else:
         rng = np.random.default_rng(seed)
         a = rng.integers(0, n, RANDOM_TRIPLES)
         b = rng.integers(0, n, RANDOM_TRIPLES)
         c = rng.integers(0, n, RANDOM_TRIPLES)
         if not np.array_equal(t[t[a, b], c], t[a, t[b, c]]):
-            raise QrlabError("associativity fails on a random triple")
+            raise NotAGroup("associativity fails on a random triple")
 
 
 def make_group(table: np.ndarray, identity: int, label: str = "table",
-               element_names=None, field_spec=None, carrier=None,
+               element_names=None, field_spec=None,
                verify: bool = True) -> GroupTable:
     """Wraps a multiplication table, computes inverses, verifies group laws."""
     n = len(table)
-    if n > TABLE_CAP:
-        raise OrderCap(f"group order {n} exceeds dense table cap {TABLE_CAP}")
+    if n > ffield.TABLE_CAP:
+        raise OrderCap(f"group order {n} exceeds dense table cap {ffield.TABLE_CAP}")
     table = np.ascontiguousarray(table, dtype=np.uint16)
     inv = np.empty(n, dtype=np.uint16)
     rows, cols = np.nonzero(table == identity)
     inv[rows] = cols
     gt = GroupTable(order=n, table=table, identity=identity, inv=inv,
                     label=label, element_names=element_names,
-                    field=field_spec, carrier=carrier)
+                    field=field_spec)
     if verify:
         _verify_laws(gt)
     return gt
@@ -146,20 +170,19 @@ def cyclic_group(n: int) -> GroupTable:
     return make_group((ids[:, None] + ids[None, :]) % n, 0, label="product")
 
 
-def sl2(spec: FieldSpec, cap: int = 10 ** 6) -> GroupTable:
+def sl2(spec: FieldSpec) -> GroupTable:
     """SL2(F_q): 2x2 matrices of determinant 1, ids in enumeration order."""
     q = spec.q
     order = q * (q * q - 1)
-    if order > cap:
-        raise OrderCap(f"|SL2(F_{q})| = {order} exceeds cap {cap}")
-    if order > TABLE_CAP:
-        raise OrderCap(f"|SL2(F_{q})| = {order} exceeds dense table cap {TABLE_CAP}")
+    if order > ffield.TABLE_CAP:
+        raise OrderCap(f"|SL2(F_{q})| = {order} exceeds dense table cap {ffield.TABLE_CAP}")
     fops = ops(spec)
     a, b, c, d = [x.ravel() for x in np.meshgrid(*[np.arange(q)] * 4, indexing="ij")]
     det = fops.sub(fops.mul(a, d), fops.mul(b, c))
     keep = det == fops.one_index
     a, b, c, d = a[keep], b[keep], c[keep], d[keep]
-    assert len(a) == order
+    if len(a) != order:
+        raise NotAGroup(f"{len(a)} matrices of determinant 1 over F_{q}, expected {order}")
     # key lookup: (a, b, c, d) -> group id
     key = ((a * q + b) * q + c) * q + d
     lookup = np.full(q ** 4, -1, dtype=np.int64)
@@ -171,7 +194,8 @@ def sl2(spec: FieldSpec, cap: int = 10 ** 6) -> GroupTable:
     pc = fops.add(fops.mul(C, a[None, :]), fops.mul(D, c[None, :]))
     pd = fops.add(fops.mul(C, b[None, :]), fops.mul(D, d[None, :]))
     table = lookup[((pa * q + pb) * q + pc) * q + pd]
-    assert (table >= 0).all()
+    if (table < 0).any():
+        raise NotAGroup(f"a product in SL2(F_{q}) has determinant other than 1")
     ident = int(lookup[((fops.one_index * q + 0) * q + 0) * q + fops.one_index])
     names = tuple(f"[[{ai},{bi}],[{ci},{di}]]" for ai, bi, ci, di in zip(a, b, c, d))
     gt = make_group(table, ident, label="sl2", element_names=names, field_spec=spec)
@@ -253,7 +277,7 @@ class CosetDecomposition:
 def cosets(h: Subgroup, require_normal: bool = False) -> CosetDecomposition:
     """Left-coset partition gH with smallest-id representatives.
 
-    For normal subgroups the left and right partitions are asserted equal.
+    For normal subgroups the left and right partitions are checked equal.
     """
     if require_normal and not h.normal:
         raise NotNormalWhenRequired("subgroup is not normal")
@@ -266,8 +290,10 @@ def cosets(h: Subgroup, require_normal: bool = False) -> CosetDecomposition:
     coset_of = np.searchsorted(reps, coset_min)
     if h.normal:
         right = g.table[np.ix_(elems, np.arange(n))]  # column x = coset Hx
-        assert np.array_equal(right.min(axis=0), coset_min)
-    assert len(reps) == h.index
+        if not np.array_equal(right.min(axis=0), coset_min):
+            raise CosetMismatch("left and right cosets of a normal subgroup differ")
+    if len(reps) != h.index:
+        raise CosetMismatch(f"{len(reps)} left cosets, expected index {h.index}")
     return CosetDecomposition(subgroup=h, reps=reps, coset_of=coset_of)
 
 
@@ -280,10 +306,8 @@ def subgroup_group(h: Subgroup, verify: bool = True) -> GroupTable:
     table = reindex[g.table[np.ix_(elems, elems)]]
     ident = int(reindex[g.identity])
     names = tuple(g.name_of(int(e)) for e in elems)
-    gt = make_group(table, ident, label="subgroup", element_names=names,
-                    field_spec=g.field, verify=verify)
-    gt.parent_ids = elems
-    return gt
+    return make_group(table, ident, label="subgroup", element_names=names,
+                      field_spec=g.field, verify=verify)
 
 
 def quotient_group(h: Subgroup) -> GroupTable:
@@ -312,7 +336,8 @@ def generated_subgroup(g: GroupTable, gens) -> Subgroup:
         cur = new | cur
 
 
-def conjugacy_classes(g: GroupTable) -> list:
+@per_group
+def conjugacy_classes(g: GroupTable) -> tuple:
     """Conjugacy classes as sorted id arrays, ordered by smallest member."""
     n = g.order
     ids = np.arange(n)
@@ -323,12 +348,13 @@ def conjugacy_classes(g: GroupTable) -> list:
             continue
         cls = np.unique(g.table[g.table[ids, x], g.inv])  # g x g^-1 over all g
         seen[cls] = True
-        classes.append(cls)
-    return classes
+        classes.append(readonly(cls))
+    return tuple(classes)
 
 
 # -- abelian characters -------------------------------------------------------
 
+@per_group
 def character_phases(g: GroupTable):
     """Characters of an abelian group as exact integer phases.
 
@@ -354,7 +380,8 @@ def character_phases(g: GroupTable):
             hp = int(t[hp, h])
             k += 1
         tgt = phases[:, pos[hp]]  # phi(h^k) for each current character
-        assert (tgt % k == 0).all()
+        if (tgt % k).any():
+            raise NotAGroup(f"character values at {h}^{k} are not divisible by {k}")
         base = tgt // k
         step = L // k
         c, m = phases.shape
@@ -372,6 +399,8 @@ def character_phases(g: GroupTable):
                     (phases + j * x[:, None]) % L
         sub = [int(e) for block in cols for e in block]
         pos = {e: i for i, e in enumerate(sub)}
+        if len(pos) < len(sub):
+            raise NotAGroup(f"cosets of the span so far by powers of {h} overlap")
         phases = new_phases
     # reorder columns so column e is element e
     perm = np.empty(n, dtype=np.int64)
@@ -380,7 +409,7 @@ def character_phases(g: GroupTable):
     phases = phases[:, perm]
     # canonical character order: lexicographic by phase vector
     order = np.lexsort(phases.T[::-1])
-    return L, phases[order]
+    return L, readonly(phases[order])
 
 
 # -- normal subgroup enumeration ----------------------------------------------
@@ -490,8 +519,6 @@ def normal_subgroups_up_to_index(g: GroupTable, max_index: int) -> list:
     annihilators of order-m dual subgroups); nonabelian groups via join
     closure of conjugacy-class normal closures.
     """
-    if g.order > TABLE_CAP:
-        raise OrderCap(f"group order {g.order} exceeds {TABLE_CAP}")
     full = Subgroup(parent=g, members=np.ones(g.order, dtype=bool))
     if max_index <= 1:
         return [full]
@@ -499,7 +526,7 @@ def normal_subgroups_up_to_index(g: GroupTable, max_index: int) -> list:
         subs = _abelian_normal_subgroups(g, max_index)
     else:
         subs = _nonabelian_normal_subgroups(g, max_index)
-    for s in subs:
-        assert s.normal and s.index <= max_index
+    if any(not s.normal or s.index > max_index for s in subs):
+        raise NotAGroup(f"an enumerated subgroup is not normal or has index > {max_index}")
     subs.sort(key=lambda s: (s.index, s.members.tobytes()))
     return subs

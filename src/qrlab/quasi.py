@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CosetMismatch, NoConvergence, SideTooLarge
+from .errors import CosetMismatch, NoConvergence, ShapeMismatch, SideTooLarge
 from .grp import GroupTable
 
 EPS2_SIDE_CAP = 22
@@ -34,7 +34,9 @@ class BipartiteGraph:
 
     def __post_init__(self):
         self.adj = np.ascontiguousarray(self.adj, dtype=bool)
-        assert self.adj.shape == (self.w_size, self.v_size)
+        if self.adj.shape != (self.w_size, self.v_size):
+            raise ShapeMismatch(f"adjacency shape {self.adj.shape} is not"
+                                f" (w_size, v_size) = ({self.w_size}, {self.v_size})")
 
     @property
     def edges(self) -> int:
@@ -50,10 +52,9 @@ def _is_coset(g: GroupTable, ids: np.ndarray) -> Optional[np.ndarray]:
     ids = np.sort(np.asarray(ids, dtype=np.int64))
     x = int(ids[0])
     h = np.sort(g.table[g.inv[x], ids])
-    elems = set(h.tolist())
-    if g.identity not in elems:
-        return None
-    if not all(int(g.table[a, b]) in elems for a in h for b in h):
+    mask = np.zeros(g.order, dtype=bool)
+    mask[h] = True
+    if not mask[g.identity] or not mask[g.table[np.ix_(h, h)]].all():
         return None
     return h
 

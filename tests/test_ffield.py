@@ -135,6 +135,15 @@ def test_order_hash_depends_on_modulus():
     assert a.order_hash != c.order_hash
 
 
+def test_default_modulus_search_runs_once():
+    a = ffield.make_field(3, 5)
+    before = ffield._default_modulus.cache_info().hits
+    b = ffield.make_field(3, 5)
+    assert ffield._default_modulus.cache_info().hits == before + 1
+    assert a.modulus == b.modulus and a.order_hash == b.order_hash
+    assert a == b
+
+
 def test_parse_field_literal():
     assert ffield.parse_field_literal("13").q == 13
     assert ffield.parse_field_literal("3^2").q == 9

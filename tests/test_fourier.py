@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qrlab import fourier, grp, quasi
-from qrlab.errors import NotAbelian, OrderCap
+from qrlab.errors import NotAbelian, NotAGroup, OrderCap
 from qrlab.ffield import make_field
 
 
@@ -77,6 +77,20 @@ def test_spectral_character_bridge():
             a = fourier.subset_qr_spectral(g, d).eps
             b = fourier.subset_qr_characters(g, d).eps
             assert abs(a - b) <= 1e-8
+
+
+def test_abelian_characters_checks(monkeypatch):
+    # character_phases always yields orthogonal phases that vanish at the
+    # identity, so feed the checks bad phases directly
+    g = grp.cyclic_group(2)
+    monkeypatch.setattr(fourier, "character_phases",
+                        lambda g: (2, np.zeros((2, 2), dtype=np.int64)))
+    with pytest.raises(NotAGroup, match="orthogonal"):
+        fourier.abelian_characters(g)
+    monkeypatch.setattr(fourier, "character_phases",
+                        lambda g: (2, np.array([[1, 1], [1, 0]])))
+    with pytest.raises(NotAGroup, match="identity"):
+        fourier.abelian_characters(g)
 
 
 def test_translation_invariance():

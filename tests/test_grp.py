@@ -2,13 +2,43 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qrlab import grp
-from qrlab.errors import (NotAbelian, NotNormalWhenRequired, OrderCap,
-                          QrlabError)
+from qrlab import fourier, grp
+from qrlab.errors import (CosetMismatch, NotAbelian, NotAGroup,
+                          NotNormalWhenRequired, OrderCap, QrlabError)
 from qrlab.ffield import make_field
+
+# Latin squares with identity 0 that are not associative, so not groups.
+# Each one reaches a different derived-data check.
+LOOP_PHASES = [[0, 1, 2, 3, 4, 5, 6], [1, 6, 3, 2, 0, 4, 5],
+               [2, 3, 5, 1, 6, 0, 4], [3, 2, 1, 4, 5, 6, 0],
+               [4, 0, 6, 5, 2, 3, 1], [5, 4, 0, 6, 3, 1, 2],
+               [6, 5, 4, 0, 1, 2, 3]]  # commutative
+LOOP_OVERLAP = [[0, 1, 2, 3, 4, 5], [1, 4, 3, 2, 5, 0], [2, 3, 4, 5, 0, 1],
+                [3, 2, 5, 0, 1, 4], [4, 5, 0, 1, 2, 3], [5, 0, 1, 4, 3, 2]]  # commutative
+LOOP_CLASSES = [[0, 1, 2, 3, 4, 5], [1, 3, 4, 5, 0, 2], [2, 4, 3, 1, 5, 0],
+                [3, 5, 1, 0, 2, 4], [4, 0, 5, 2, 1, 3], [5, 2, 0, 4, 3, 1]]
+LOOP_SIDES = [[0, 1, 2, 3, 4, 5], [1, 2, 0, 5, 3, 4], [2, 5, 3, 4, 1, 0],
+              [3, 0, 4, 2, 5, 1], [4, 3, 5, 1, 0, 2], [5, 4, 1, 0, 2, 3]]
+LOOP_NORMAL = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 4, 5, 2], [2, 3, 4, 5, 0, 1],
+               [3, 4, 5, 2, 1, 0], [4, 5, 0, 1, 2, 3], [5, 2, 1, 0, 3, 4]]
+
+
+def unchecked_group(rows) -> grp.GroupTable:
+    """A GroupTable built straight from a table, bypassing make_group."""
+    table = np.array(rows, dtype=np.uint16)
+    n = len(table)
+    inv = np.empty(n, dtype=np.uint16)
+    r, c = np.nonzero(table == 0)
+    inv[r] = c
+    return grp.GroupTable(order=n, table=table, identity=0, inv=inv)
 
 
 def test_additive_group_basics():
@@ -218,3 +248,130 @@ def test_parse_group_literal():
         grp.parse_group_literal("frob:5")
     with pytest.raises(QrlabError):
         grp.parse_group_literal("add")
+
+
+# -- per-group data -----------------------------------------------------------
+
+def count_runs(fn, thunk) -> int:
+    """How many times the body of the per-group function fn runs in thunk()."""
+    code = fn.__wrapped__.__code__
+    runs = 0
+
+    def profile(frame, event, arg):
+        nonlocal runs
+        if event == "call" and frame.f_code is code:
+            runs += 1
+    sys.setprofile(profile)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    return runs
+
+
+def test_character_phases_runs_once_per_group():
+    g = grp.cyclic_group(12)
+    rng = np.random.default_rng(3)
+    subsets = [rng.random(g.order) < 0.5 for _ in range(25)]
+    runs = count_runs(grp.character_phases, lambda: [
+        fourier.subset_qr_characters(g, d) for d in subsets])
+    assert runs == 1
+    assert count_runs(grp.character_phases, lambda: grp.character_phases(g)) == 0
+
+
+def test_equal_tables_keep_separate_caches():
+    g1, g2 = grp.cyclic_group(12), grp.cyclic_group(12)
+    _, p1 = grp.character_phases(g1)
+    assert g2.derived == {}
+    _, p2 = grp.character_phases(g2)
+    assert p1 is not p2 and np.array_equal(p1, p2)
+    assert grp.character_phases(g1)[1] is p1
+
+
+def test_per_group_data_is_read_only():
+    g = grp.additive_group(make_field(3, 2))
+    _, phases = grp.character_phases(g)
+    cd = fourier.abelian_characters(g)
+    with pytest.raises(ValueError):
+        phases[0, 0] = 1
+    with pytest.raises(ValueError):
+        cd.characters[0, 0] = 0
+    with pytest.raises(ValueError):
+        cd.phases[1, 1] = 0
+    s = grp.sl2(make_field(3))
+    with pytest.raises(ValueError):
+        grp.conjugacy_classes(s)[0][0] = 1
+    classes, class_of, mats = fourier._class_constants(s)
+    with pytest.raises(ValueError):
+        class_of[0] = 1
+    with pytest.raises(ValueError):
+        mats[0][0, 0] = 2.0
+
+
+def test_grp_and_fourier_share_entry_points():
+    assert grp.character_phases is fourier.character_phases
+    assert grp.conjugacy_classes is fourier.conjugacy_classes
+
+
+# -- non-group tables raise named errors ----------------------------------------
+
+def test_verify_laws_rejects_non_square_table():
+    with pytest.raises(NotAGroup):
+        grp.make_group(np.zeros((3, 4), dtype=np.int64), 0)
+
+
+def test_character_phases_reject_non_group():
+    with pytest.raises(NotAGroup, match="not divisible"):
+        grp.character_phases(unchecked_group(LOOP_PHASES))
+    with pytest.raises(NotAGroup, match="overlap"):
+        grp.character_phases(unchecked_group(LOOP_OVERLAP))
+    with pytest.raises(NotAGroup):
+        fourier.abelian_characters(unchecked_group(LOOP_PHASES))
+    with pytest.raises(NotAGroup):
+        grp.normal_subgroups_up_to_index(unchecked_group(LOOP_PHASES), 7)
+
+
+def test_class_constants_reject_non_group():
+    with pytest.raises(NotAGroup):
+        fourier._class_constants(unchecked_group(LOOP_CLASSES))
+    with pytest.raises(NotAGroup):
+        fourier.irrep_dimensions(unchecked_group(LOOP_SIDES))
+
+
+def test_cosets_reject_non_group():
+    g = unchecked_group(LOOP_CLASSES)
+    with pytest.raises(CosetMismatch, match="left cosets"):
+        grp.cosets(grp.generated_subgroup(g, [3]))
+    g = unchecked_group(LOOP_SIDES)
+    h = grp.generated_subgroup(g, [4])
+    assert h.normal
+    with pytest.raises(CosetMismatch, match="left and right"):
+        grp.cosets(h)
+
+
+def test_normal_subgroup_enumeration_rejects_non_group():
+    with pytest.raises(NotAGroup):
+        grp.normal_subgroups_up_to_index(unchecked_group(LOOP_NORMAL), 6)
+
+
+def test_non_group_raises_under_optimized_python():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from qrlab import grp\n"
+        "from qrlab.errors import NotAGroup\n"
+        f"t = np.array({LOOP_PHASES!r}, dtype=np.uint16)\n"
+        "inv = np.array([int(np.flatnonzero(r == 0)[0]) for r in t], dtype=np.uint16)\n"
+        "g = grp.GroupTable(order=len(t), table=t, identity=0, inv=inv)\n"
+        "assert False, 'asserts must be off under -O'\n"
+        "try:\n"
+        "    grp.character_phases(g)\n"
+        "except NotAGroup:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qrlab import grp, quasi
-from qrlab.errors import CosetMismatch, SideTooLarge
+from qrlab.errors import CosetMismatch, ShapeMismatch, SideTooLarge
 from qrlab.ffield import make_field
 
 
@@ -88,6 +88,38 @@ def test_cayley_bipartite_coset_mismatch():
     bg = quasi.cayley_bipartite(g, np.ones(12, dtype=bool),
                                 v=[1, 4, 7, 10], w=[2, 5, 8, 11])
     assert bg.v_size == 4
+
+
+def is_coset_reference(g, ids):
+    """ids = x·H for a subgroup H, by the pairwise closure loop."""
+    ids = sorted(int(i) for i in ids)
+    h = {int(g.table[g.inv[ids[0]], i]) for i in ids}
+    return g.identity in h and all(int(g.table[a, b]) in h for a in h for b in h)
+
+
+def test_is_coset_matches_reference():
+    rng = np.random.default_rng(4)
+    for g in [grp.cyclic_group(12), grp.sl2(make_field(3)),
+              grp.multiplicative_group(make_field(13))]:
+        candidates = [np.flatnonzero(rng.random(g.order) < p)
+                      for p in (0.1, 0.3, 0.5) for _ in range(20)]
+        for x in range(g.order):
+            dec = grp.cosets(grp.generated_subgroup(g, [x]))
+            for i in range(min(2, dec.index)):
+                ids = dec.coset_ids(i)
+                candidates += [ids, np.union1d(ids, [(ids[0] + 1) % g.order])]
+        verdicts = set()
+        for ids in candidates:
+            if len(ids):
+                got = quasi._is_coset(g, ids) is not None
+                assert got == is_coset_reference(g, ids)
+                verdicts.add(got)
+        assert verdicts == {True, False}
+
+
+def test_bipartite_graph_shape_checked():
+    with pytest.raises(ShapeMismatch):
+        quasi.BipartiteGraph(2, 3, np.zeros((2, 2), dtype=bool))
 
 
 def test_eps1_complete_bipartite_zero():

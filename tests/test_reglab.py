@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qrlab import defform, quasi, reglab
-from qrlab.errors import InadmissibleQ, NotSubset
+from qrlab import defform, fourier, grp, quasi, reglab
+from qrlab.errors import InadmissibleQ, NotSubset, ShapeMismatch
 
 ODD_PRIME_POWERS = [5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41,
                     43, 47, 49, 53, 59, 61]
@@ -67,6 +67,16 @@ def test_sl2_trace_square_family():
     for t in range(3):
         vals = d[trace == t]
         assert vals.all() or not vals.any()
+
+
+def test_instantiate_rejects_wrong_mask_shape():
+    paley = reglab.builtin_families()["paley"]
+    fam = reglab.Family(name="short", group_builder=paley.group_builder,
+                        formula_of=paley.formula_of,
+                        admissible=paley.admissible,
+                        connection_set=lambda g, spec, f: np.zeros(g.order - 1))
+    with pytest.raises(ShapeMismatch):
+        fam.instantiate(5)
 
 
 def test_subgroup_search_artin_schreier():
@@ -203,3 +213,55 @@ def test_verify_suites_pass():
         assert result.passed, result.lines
     with pytest.raises(KeyError):
         reglab.run_verify_suite("nope")
+
+
+# -- translate invariance of the coset Fourier parameter -------------------------
+
+def translate_eps(g, d, h, t) -> float:
+    """Subset parameter of Dt ∩ H inside H, by the spectral route."""
+    dt = np.zeros(g.order, dtype=bool)
+    dt[g.table[np.flatnonzero(d), t]] = True
+    return fourier.subset_qr_spectral(grp.subgroup_group(h), dt[h.element_ids()]).eps
+
+
+def translate_cases():
+    rng = np.random.default_rng(7)
+    fams = reglab.builtin_families()
+    for q in (3, 5):
+        g, d, _ = fams["sl2_trace_square"].instantiate(q)
+        centre = grp.generated_subgroup(g, [int(np.flatnonzero(g.element_orders == 2)[0])])
+        subs = [centre]
+        if q == 3:
+            subs.append(next(s for s in grp.normal_subgroups_up_to_index(g, 3)
+                             if s.index == 3))  # Q8
+            subs.append(grp.generated_subgroup(  # order 3, not normal
+                g, [int(np.flatnonzero(g.element_orders == 3)[0])]))
+        for h in subs:
+            yield f"SL2({q}) |H|={h.size}", g, d, h
+            yield f"SL2({q}) |H|={h.size} random D", g, rng.random(g.order) < 0.4, h
+    g, d, _ = fams["artin_schreier"].instantiate(27)
+    h = grp.Subgroup(parent=g, members=d)
+    yield "GF(27)+ Artin-Schreier", g, d, h
+    yield "GF(27)+ Artin-Schreier random D", g, rng.random(g.order) < 0.4, h
+    g, d, _ = fams["mult_cubes"].instantiate(13)
+    for h in grp.normal_subgroups_up_to_index(g, 4):
+        yield f"F_13^* index {h.index}", g, d, h
+        yield f"F_13^* index {h.index} random D", g, rng.random(g.order) < 0.4, h
+
+
+def test_translate_fourier_eps_needs_one_translate_per_coset():
+    # Dxh ∩ H = (Dx ∩ H)·h, and right translation inside H leaves every
+    # Fourier operator norm unchanged, normal H or not
+    seen = set()
+    for name, g, d, h in translate_cases():
+        seen.add(h.normal)
+        dec = grp.cosets(h)
+        per_rep = []
+        for x in dec.reps:
+            base = translate_eps(g, d, h, x)
+            for y in h.element_ids():
+                eps = translate_eps(g, d, h, g.table[x, y])
+                assert abs(eps - base) <= 1e-12, (name, int(x), int(y))
+            per_rep.append(base)
+        assert reglab._translate_fourier_eps(g, d, h) == max(per_rep), name
+    assert seen == {True, False}
