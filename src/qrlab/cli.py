@@ -99,9 +99,9 @@ def report_cmd(group_text, formula_text, subgroup_max_index, seed, out_path):
     if len(f.free_vars) != 1:
         raise click.UsageError("--set-formula must have exactly one free variable")
     d = _connection_from_formula(g, spec, f)
-    rep = quasi.verify_gowers_relations(quasi.cayley_bipartite(g, d), seed=seed)
+    rep = quasi.verify_gowers_relations(quasi.cayley_bipartite(g, d))
     outcome = reglab.subgroup_search(g, d, subgroup_max_index)
-    fe = reglab._translate_fourier_eps(g, d, outcome.subgroup, seed=seed)
+    fe = reglab._translate_fourier_eps(g, d, outcome.subgroup)
     doc = rep.to_json_dict()
     doc.update({
         "group": group_text,

@@ -79,10 +79,6 @@ class SideTooLarge(QrlabError):
     pass
 
 
-class NoConvergence(QrlabError):
-    pass
-
-
 class DegeneracyNotResolved(QrlabError):
     pass
 

@@ -303,34 +303,6 @@ def make_field(p: int, n: int = 1, modulus=None) -> FieldSpec:
     return FieldSpec(p=p, n=n, modulus=tuple(modulus))
 
 
-def field_arith(a: FieldElem, b: FieldElem | None, op: str) -> FieldElem:
-    """Dispatch wrapper over the element operators."""
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inv()
-    if b is None:
-        raise ValueError(f"binary op {op!r} needs two operands")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b.is_zero():
-            raise DivisionByZero("division by zero")
-        return a / b
-    if op == "pow":
-        raise ValueError("pow takes an integer exponent; use a ** e")
-    raise ValueError(f"unknown op {op!r}")
-
-
-def enumerate_elements(spec: FieldSpec) -> tuple[FieldElem, ...]:
-    """All q elements, lexicographic on coefficient vectors; element(i) inverts."""
-    return tuple(spec.element(i) for i in range(spec.q))
-
-
 class FieldOps:
     """Vectorized index-space arithmetic for one field.
 

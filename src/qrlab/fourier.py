@@ -62,12 +62,13 @@ def subset_qr_spectral(g: GroupTable, d: np.ndarray, seed: int = 0) -> SubsetQR:
     """eps = sigma_max(M P)/|H| for the Cayley graph of D, certified.
 
     Equals the maximal nontrivial Fourier operator norm of the normalized
-    indicator of D, for any finite group.
+    indicator of D, for any finite group.  eps3 is deterministic, so
+    ``seed`` is accepted but not read.
     """
     d = np.asarray(d, dtype=bool)
     bg = cayley_bipartite(g, d)
     # eps3 = sigma/sqrt(|H|^2) = sigma/|H|, exactly the subset parameter
-    eps, err = eps3_spectral(bg, seed=seed)
+    eps, err = eps3_spectral(bg)
     return SubsetQR(group=g, subset=d, eps=eps, err=err, method="spectral")
 
 
@@ -193,7 +194,7 @@ class Cor25Record:
         return self.subset_le_graph_quarter and self.graph_le_subset_sq
 
 
-def verify_cor25(g: GroupTable, d: np.ndarray, seed: int = 0) -> Cor25Record:
+def verify_cor25(g: GroupTable, d: np.ndarray) -> Cor25Record:
     """Checks eps <= eps1^{1/4} and eps1 <= eps^2 for D in H.
 
     eps is the subset quasirandomness parameter and eps1 the 4-cycle defect
@@ -203,7 +204,7 @@ def verify_cor25(g: GroupTable, d: np.ndarray, seed: int = 0) -> Cor25Record:
     if g.order > COR25_CAP:
         raise OrderCap(f"group order {g.order} exceeds {COR25_CAP}")
     d = np.asarray(d, dtype=bool)
-    sq = subset_qr_spectral(g, d, seed=seed)
+    sq = subset_qr_spectral(g, d)
     e1 = eps1_quasirandomness(cayley_bipartite(g, d))
     ok1 = (sq.eps - sq.err) <= float(e1) ** 0.25 + FLOAT_SLACK
     ok2 = float(e1) <= (sq.eps + sq.err) ** 2 + FLOAT_SLACK

@@ -182,8 +182,7 @@ def _ols_slope(xs, ys):
     return slope, float(ym - slope * xm)
 
 
-def _translate_fourier_eps(g: GroupTable, d: np.ndarray, h: Subgroup,
-                           seed: int = 0) -> float:
+def _translate_fourier_eps(g: GroupTable, d: np.ndarray, h: Subgroup) -> float:
     """max over translate classes of the subset parameter of Dg ∩ H inside H.
 
     One representative g per coset gH suffices: for h in H,
@@ -198,7 +197,7 @@ def _translate_fourier_eps(g: GroupTable, d: np.ndarray, h: Subgroup,
     for t in cosets(h).reps:
         dg = np.zeros(g.order, dtype=bool)
         dg[g.table[d_ids, t]] = True
-        sq = fourier.subset_qr_spectral(hg, dg[elems], seed=seed)
+        sq = fourier.subset_qr_spectral(hg, dg[elems])
         worst = max(worst, sq.eps)
     return worst
 
@@ -253,15 +252,16 @@ class SweepResult:
 
 def sweep(family: Family, qs, max_index: int = 1, seed: int = 0) -> SweepResult:
     """Runs the family at each q, searching for the best subgroup and fitting
-    log-log decay of the worst coset eps1 and the translate Fourier eps."""
+    log-log decay of the worst coset eps1 and the translate Fourier eps.
+    Every row is deterministic; ``seed`` is only recorded in the result."""
     rows = []
     for q in sorted(qs):
         g, d, f = family.instantiate(q)
         outcome = subgroup_search(g, d, max_index)
         full = quasi.cayley_bipartite(g, d)
         e1 = quasi.eps1_quasirandomness(full)
-        e3, _ = quasi.eps3_spectral(full, seed=seed)
-        fe = _translate_fourier_eps(g, d, outcome.subgroup, seed=seed)
+        e3, _ = quasi.eps3_spectral(full)
+        fe = _translate_fourier_eps(g, d, outcome.subgroup)
         spec = g.field
         rows.append({"q": q, "delta": full.delta, "eps1": e1, "eps3": e3,
                      "fourier_eps": fe, "h_index": outcome.index,
@@ -441,7 +441,7 @@ def _suite_gowers(seed: int) -> SuiteResult:
     finding_hits = 0
     for i in range(200):
         bg = _random_circulant(rng)
-        rep = quasi.verify_gowers_relations(bg, seed=seed)
+        rep = quasi.verify_gowers_relations(bg)
         if not rep.all_relations_hold():
             bad += 1
             lines.append(f"graph {i}: relation violation {rep.relations}")
@@ -469,7 +469,7 @@ def _suite_lemma24(seed: int) -> SuiteResult:
     for name, g in groups:
         for _ in range(20):
             d = rng.random(g.order) < rng.random()
-            a = fourier.subset_qr_spectral(g, d, seed=seed).eps
+            a = fourier.subset_qr_spectral(g, d).eps
             b = fourier.subset_qr_characters(g, d).eps
             gap = abs(a - b)
             worst = max(worst, gap)
@@ -490,7 +490,7 @@ def _suite_cor25(seed: int) -> SuiteResult:
                     ("F_9+", additive_group(make_field(3, 2)))]:
         for i in range(50):
             d = rng.random(g.order) < rng.random()
-            rec = fourier.verify_cor25(g, d, seed=seed)
+            rec = fourier.verify_cor25(g, d)
             if not rec.all_hold():
                 bad += 1
                 lines.append(f"{name} subset {i}: eps={rec.eps:.6f} "
@@ -521,7 +521,7 @@ def _suite_sl2(seed: int) -> SuiteResult:
         bad = 0
         for _ in range(100):
             d = rng.random(g.order) < 0.5
-            sq = fourier.subset_qr_spectral(g, d, seed=seed)
+            sq = fourier.subset_qr_spectral(g, d)
             e1 = quasi.eps1_quasirandomness(quasi.cayley_bipartite(g, d))
             if sq.eps - sq.err > 2 * q ** -0.5 + 1e-8:
                 bad += 1

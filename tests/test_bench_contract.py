@@ -1,0 +1,62 @@
+"""The benchmark's use of the qrlab API, checked in tier-1.
+
+perfbench/ calls qrlab through fixed function names and keyword arguments,
+and its tracer patches module attributes by name, raising on any name that
+is missing or rebound.  This sends one small call of each kind through every
+workload's ``run`` and ``check`` with the tracer installed and recording.  It
+runs in a subprocess so the patched attributes do not leak into other tests.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = r"""
+import json, sys
+root = sys.argv[1]
+sys.path[:0] = [root + "/src", root + "/perfbench"]
+import spans
+from workloads import Call, Counting, PaleyLarge, SmallBatch, SubgroupIndex
+
+tracer = spans.Tracer()
+spans.install(tracer)
+tracer.active = True
+
+paley, search, batch, counting = PaleyLarge(), SubgroupIndex(), SmallBatch(), Counting()
+for workload in (paley, search, batch, counting):
+    workload.setup(7)
+cases = [(paley, Call("sweep", (13, 1))), (search, Call("search", (2, 3, 2)))]
+first = {}
+for call in batch.make_pass(0):
+    first.setdefault(call.kind, call)
+cases += [(batch, first[kind]) for kind in ("gowers", "abelian", "sl2", "irreps")]
+text, _, want = counting.DIM_MEASURE[0]
+cases.append((counting, Call("dim", (text, [101, 103, 107, 109, 113], want))))
+
+failures = []
+for workload, call in cases:
+    err = workload.check(call, workload.run(call))
+    if err:
+        failures.append(f"{workload.name} {call.kind}: {err}")
+print(json.dumps({"calls": len(cases), "failures": failures,
+                  "traced": sorted(tracer.summarize())}))
+"""
+
+
+def test_workloads_run_and_check_under_tracer():
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT)], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["calls"] == 7
+    assert out["failures"] == []
+    for name in ("reglab.sweep", "reglab.subgroup_search", "quasi.eps3_spectral",
+                 "quasi.eps1_quasirandomness", "quasi.verify_gowers_relations",
+                 "fourier.subset_qr_characters", "fourier.irrep_dimensions",
+                 "reglab.estimate_dim_measure", "defform.evaluate"):
+        assert name in out["traced"], name

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qrlab import grp, quasi
+from qrlab import grp, quasi, reglab
 from qrlab.errors import CosetMismatch, ShapeMismatch, SideTooLarge
 from qrlab.ffield import make_field
 
@@ -38,6 +38,13 @@ def c4_quadruple_loop(adj):
                     if adj[w, v] and adj[w2, v] and adj[w, v2] and adj[w2, v2]:
                         total += 1
     return total
+
+
+def c4_python_ints(adj):
+    """C4 = sum over v, v' of |N_v ∩ N_v'|^2, with each neighbourhood a
+    Python int bitmask, so no numpy arithmetic is involved."""
+    cols = [int("".join("1" if x else "0" for x in col), 2) for col in adj.T]
+    return sum(bin(a & b).count("1") ** 2 for a in cols for b in cols)
 
 
 def eps2_full_enumeration(adj):
@@ -129,9 +136,18 @@ def test_eps1_complete_bipartite_zero():
 
 def test_eps1_matches_quadruple_loop():
     rng = np.random.default_rng(2)
+    graphs = []
     for _ in range(50):
         bg = random_graph(rng)
         c4 = c4_quadruple_loop(bg.adj)
+        assert c4_python_ints(bg.adj) == c4
+        graphs.append((bg, c4))
+    # rectangular graphs, one with |W| >= 2048
+    for v, w in [(3, 40), (40, 3), (17, 300), (6, 2100), (23, 2048)]:
+        adj = rng.random((w, v)) < rng.random()
+        bg = quasi.BipartiteGraph(v, w, adj)
+        graphs.append((bg, c4_python_ints(adj)))
+    for bg, c4 in graphs:
         expected = max(Fraction(0),
                        Fraction(c4, (bg.v_size * bg.w_size) ** 2)
                        - bg.delta ** 4)
@@ -139,11 +155,11 @@ def test_eps1_matches_quadruple_loop():
 
 
 def test_eps1_paley_range():
-    _, _, bg = paley_graph(13)
-    e1 = quasi.eps1_quasirandomness(bg)
-    q = 13
-    assert e1 == Fraction((q - 1) * (q * q + 6 * q + 1), 16 * q ** 4)
-    assert Fraction(0) < e1 <= Fraction(2, 13)
+    for q in (13, 101, 557):
+        _, _, bg = paley_graph(q)
+        e1 = quasi.eps1_quasirandomness(bg)
+        assert e1 == Fraction((q - 1) * (q * q + 6 * q + 1), 16 * q ** 4)
+        assert Fraction(0) < e1 <= Fraction(2, q)
 
 
 def test_eps1_artin_schreier_blocks_zero():
@@ -197,13 +213,28 @@ def test_eps3_extremes():
 
 def test_eps3_matches_dense_svd():
     rng = np.random.default_rng(4)
-    for _ in range(40):
-        bg = random_graph(rng, 20, 20)
+    graphs = [random_graph(rng, 20, 20) for _ in range(40)]
+    # Paley graphs with a degenerate top eigenspace
+    graphs += [paley_graph(q)[2] for q in (101, 103)]
+    fams = reglab.builtin_families()
+    g, d, _ = fams["sl2_trace_square"].instantiate(5)
+    graphs.append(quasi.cayley_bipartite(g, d))
+    # coset blocks of GF(27)+ over the Artin-Schreier subgroup, random D
+    g, h_mask, _ = fams["artin_schreier"].instantiate(27)
+    dec = grp.cosets(grp.Subgroup(parent=g, members=h_mask))
+    d = rng.random(g.order) < 0.4
+    graphs += [quasi.cayley_bipartite(g, d, v=dec.coset_ids(i), w=dec.coset_ids(j))
+               for i, j in [(0, 0), (0, 1), (2, 1)]]
+    # rectangular and irregular, both orientations
+    adj = rng.random((7, 23)) < 0.3
+    graphs += [quasi.BipartiteGraph(23, 7, adj), quasi.BipartiteGraph(7, 23, adj.T)]
+    for bg in graphs:
         m = bg.adj.astype(float)
         mc = m - m.mean(axis=1, keepdims=True)
         ref = np.linalg.svd(mc, compute_uv=False)[0] / np.sqrt(
             bg.v_size * bg.w_size)
         e3, err = quasi.eps3_spectral(bg)
+        assert err <= 1e-9
         assert abs(e3 - ref) <= 1e-10 + err
 
 
