@@ -414,110 +414,73 @@ def character_phases(g: GroupTable):
 
 # -- normal subgroup enumeration ----------------------------------------------
 
-def _abelian_normal_subgroups(g: GroupTable, max_index: int) -> list:
-    """Index-bounded subgroups via annihilators in the character dual.
+def _lattice_walk(start: np.ndarray, atoms, step) -> list:
+    """Every mask reachable from start by repeated step(mask, atom).
 
-    A subgroup of index m corresponds to an order-m subgroup of the dual;
-    enumerating small dual subgroups avoids walking the full subgroup lattice.
+    step returns None for a mask outside the search, and the walk does not
+    go on from it.  More than SUBGROUP_LATTICE_CAP masks raise OrderCap.
     """
-    L, phases = character_phases(g)
-    # dual element order = L / gcd(L, gcd of phase entries)
-    row_gcd = np.gcd.reduce(np.concatenate([phases, np.full((g.order, 1), L,
-                                                            dtype=np.int64)],
-                                           axis=1), axis=1)
-    dual_orders = L // row_gcd
-    small = [i for i in range(g.order) if dual_orders[i] <= max_index]
-    trivial = tuple([0] * g.order)
-
-    def closure(rows):
-        out = {trivial}
-        frontier = set(rows)
-        while frontier:
-            add = set()
-            for r in frontier:
-                for s in list(out) + list(frontier):
-                    v = tuple((np.asarray(r) + np.asarray(s)) % L)
-                    if v not in out and v not in frontier and v not in add:
-                        add.add(v)
-            out |= frontier
-            frontier = add
-        return out
-
-    found = {frozenset({trivial})}
-    frontier = [frozenset({trivial})]
-    while frontier:
-        nxt = []
-        for X in frontier:
-            for i in small:
-                row = tuple(int(v) for v in phases[i])
-                if row in X:
-                    continue
-                Y = frozenset(closure(set(X) | {row}))
-                if len(Y) <= max_index and Y not in found:
-                    found.add(Y)
-                    nxt.append(Y)
-                if len(found) > SUBGROUP_LATTICE_CAP:
-                    raise OrderCap("dual subgroup enumeration exceeded cap")
-        frontier = nxt
-    subs = []
-    seen_masks = set()
-    for X in found:
-        mat = np.array(sorted(X), dtype=np.int64)
-        mask = (mat == 0).all(axis=0)
-        key = mask.tobytes()
-        if key not in seen_masks:
-            seen_masks.add(key)
-            subs.append(Subgroup(parent=g, members=mask))
-    return subs
-
-
-def _nonabelian_normal_subgroups(g: GroupTable, max_index: int) -> list:
-    """Join closure of normal closures of conjugacy classes.
-
-    Every normal subgroup is the join of the normal closures of the classes
-    it contains, so closing the set of class closures under join enumerates
-    the whole normal-subgroup lattice; small-index members are then filtered.
-    """
-    classes = conjugacy_classes(g)
-    gens = []
-    seen = set()
-    for cls in classes:
-        sg = generated_subgroup(g, cls)
-        key = sg.members.tobytes()
-        if key not in seen:
-            seen.add(key)
-            gens.append(sg.members)
-    trivial = np.zeros(g.order, dtype=bool)
-    trivial[g.identity] = True
-    lattice = {trivial.tobytes(): trivial}
-    frontier = [trivial]
+    lattice = {start.tobytes(): start}
+    frontier = [start]
     while frontier:
         nxt = []
         for m in frontier:
-            for gm in gens:
-                u = m | gm
-                joined = generated_subgroup(g, np.flatnonzero(u)).members
-                key = joined.tobytes()
-                if key not in lattice:
-                    lattice[key] = joined
-                    nxt.append(joined)
+            for a in atoms:
+                u = step(m, a)
+                if u is None or u.tobytes() in lattice:
+                    continue
+                lattice[u.tobytes()] = u
+                nxt.append(u)
                 if len(lattice) > SUBGROUP_LATTICE_CAP:
-                    raise OrderCap("normal subgroup lattice exceeded cap")
+                    raise OrderCap(f"subgroup lattice exceeded {SUBGROUP_LATTICE_CAP} members")
         frontier = nxt
-    subs = []
-    for mask in lattice.values():
-        size = int(mask.sum())
-        if g.order // size <= max_index:
-            subs.append(Subgroup(parent=g, members=mask))
-    return subs
+    return list(lattice.values())
+
+
+def _abelian_normal_subgroups(g: GroupTable, max_index: int) -> list:
+    """Intersections of character kernels, walked down from the full group.
+
+    H is the intersection of the kernels of the characters trivial on it,
+    which are characters of G/H, so each kernel has index at most [G:H].
+    An intersection only shrinks, so stopping wherever the index exceeds
+    max_index still reaches every subgroup within it.
+    """
+    _, phases = character_phases(g)
+
+    def within(masks):
+        return g.order // masks.sum(axis=-1) <= max_index
+
+    def step(m, k):
+        u = m & k
+        return u if within(u) else None
+
+    kernels = phases == 0
+    masks = _lattice_walk(np.ones(g.order, dtype=bool), kernels[within(kernels)], step)
+    return [Subgroup(parent=g, members=m) for m in masks]
+
+
+def _nonabelian_normal_subgroups(g: GroupTable, max_index: int) -> list:
+    """Joins of normal closures of conjugacy classes, walked up from the
+    trivial subgroup.
+
+    Every normal subgroup is the join of the normal closures of the classes
+    it contains, so the walk reaches the whole normal-subgroup lattice;
+    small-index members are then filtered.
+    """
+    atoms = [generated_subgroup(g, cls).members for cls in conjugacy_classes(g)]
+    trivial = np.zeros(g.order, dtype=bool)
+    trivial[g.identity] = True
+    join = lambda m, a: generated_subgroup(g, np.flatnonzero(m | a)).members
+    return [Subgroup(parent=g, members=m) for m in _lattice_walk(trivial, atoms, join)
+            if g.order // int(m.sum()) <= max_index]
 
 
 def normal_subgroups_up_to_index(g: GroupTable, max_index: int) -> list:
     """All normal subgroups of index at most max_index, each verified.
 
-    Abelian groups go through the character dual (subgroups of index m are
-    annihilators of order-m dual subgroups); nonabelian groups via join
-    closure of conjugacy-class normal closures.
+    Abelian groups intersect character kernels walking down from G;
+    nonabelian groups join normal closures of conjugacy classes walking up
+    from the trivial subgroup.
     """
     full = Subgroup(parent=g, members=np.ones(g.order, dtype=bool))
     if max_index <= 1:

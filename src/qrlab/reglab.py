@@ -259,9 +259,14 @@ def sweep(family: Family, qs, max_index: int = 1, seed: int = 0) -> SweepResult:
         g, d, f = family.instantiate(q)
         outcome = subgroup_search(g, d, max_index)
         full = quasi.cayley_bipartite(g, d)
-        e1 = quasi.eps1_quasirandomness(full)
         e3, _ = quasi.eps3_spectral(full)
-        fe = _translate_fourier_eps(g, d, outcome.subgroup)
+        if outcome.index == 1:
+            # H = G: the one coset block is the full graph, and the one
+            # translate class has the subset parameter of D itself, eps3
+            e1, fe = outcome.per_pair[(0, 0)], e3
+        else:
+            e1 = quasi.eps1_quasirandomness(full)
+            fe = _translate_fourier_eps(g, d, outcome.subgroup)
         spec = g.field
         rows.append({"q": q, "delta": full.delta, "eps1": e1, "eps3": e3,
                      "fourier_eps": fe, "h_index": outcome.index,

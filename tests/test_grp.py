@@ -240,6 +240,40 @@ def test_abelian_subgroup_results_are_all_normal():
     assert all(s.normal for s in subs)
 
 
+def abelian_groups_to_32():
+    """Z/n for n <= 32, and (F_q, +) and F_q^* for q <= 32."""
+    groups = [grp.cyclic_group(n) for n in range(1, 33)]
+    for p, n in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+                 (13, 1), (2, 4), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3),
+                 (29, 1), (31, 1), (2, 5)]:
+        spec = make_field(p, n)
+        groups += [grp.additive_group(spec), grp.multiplicative_group(spec)]
+    return groups
+
+
+def test_kernel_route_matches_join_walk():
+    # In an abelian group every class is a singleton, so the nonabelian
+    # route joins cyclic subgroups and reads no characters: an independent
+    # enumeration of the whole subgroup lattice.
+    for g in abelian_groups_to_32():
+        lattice = grp._nonabelian_normal_subgroups(g, g.order)
+        for m in range(1, g.order + 1):
+            want = sorted(s.members.tobytes() for s in lattice if s.index <= m)
+            got = sorted(s.members.tobytes() for s in grp._abelian_normal_subgroups(g, m))
+            assert got == want, (g.label, g.order, m)
+
+
+def test_subgroup_lattice_cap(monkeypatch):
+    # GF(2^4)+ has 16 subgroups of index <= 2, SL2(3) has 4 normal subgroups
+    monkeypatch.setattr(grp, "SUBGROUP_LATTICE_CAP", 3)
+    with pytest.raises(OrderCap):
+        grp.normal_subgroups_up_to_index(grp.additive_group(make_field(2, 4)), 2)
+    with pytest.raises(OrderCap):
+        grp.normal_subgroups_up_to_index(grp.sl2(make_field(3)), 24)
+    monkeypatch.setattr(grp, "SUBGROUP_LATTICE_CAP", 4)
+    assert len(grp.normal_subgroups_up_to_index(grp.sl2(make_field(3)), 24)) == 4
+
+
 def test_parse_group_literal():
     assert grp.parse_group_literal("add:3^2").order == 9
     assert grp.parse_group_literal("mul:13").order == 12

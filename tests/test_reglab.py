@@ -81,11 +81,14 @@ def test_instantiate_rejects_wrong_mask_shape():
 
 def test_subgroup_search_artin_schreier():
     fam = reglab.builtin_families()["artin_schreier"]
+    # GF(p^n) at index p: D, the image of y^p - y, is the best subgroup
+    for q, p in ((4, 2), (256, 2), (125, 5)):
+        g, d, _ = fam.instantiate(q)
+        out = reglab.subgroup_search(g, d, p)
+        assert out.index == p
+        assert out.max_coset_eps1 == 0
+        assert np.array_equal(out.subgroup.members, d)
     g, d, _ = fam.instantiate(4)
-    out = reglab.subgroup_search(g, d, 2)
-    assert out.index == 2
-    assert out.max_coset_eps1 == 0
-    assert np.array_equal(out.subgroup.members, d)
     # with only the trivial subgroup allowed, the defect is at least 1/16
     out1 = reglab.subgroup_search(g, d, 1)
     assert out1.index == 1 and out1.max_coset_eps1 >= Fraction(1, 16)
