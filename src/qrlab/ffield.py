@@ -97,37 +97,11 @@ def _poly_gcd(a, b, p):
     return a
 
 
-def _has_root(coeffs, p):
-    for x in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return True
-    return False
-
-
 def _is_irreducible(coeffs, p):
-    """coeffs is monic of degree n >= 1 over GF(p)."""
+    """Rabin's test; coeffs is monic of degree n >= 1 over GF(p)."""
     n = len(coeffs) - 1
     if n == 1:
         return True
-    if n <= 3:
-        # degree 2 or 3: irreducible iff no roots
-        return not _has_root(coeffs, p)
-    if n == 4:
-        if _has_root(coeffs, p):
-            return False
-        # trial division by irreducible monic quadratics
-        for c0 in range(p):
-            for c1 in range(p):
-                quad = [c0, c1, 1]
-                if _has_root(quad, p):
-                    continue
-                if len(_poly_gcd(coeffs, quad, p)) == 3:
-                    return False
-        return True
-    # Rabin's irreducibility test
     x = [0, 1]
 
     def _minus_x(poly):
@@ -167,7 +141,8 @@ def _default_modulus(p, n):
     """
     if n == 1:
         return (0, 1)  # the polynomial x
-    for m in range(p ** n):
+    # candidates with c0 = 0 are divisible by x, so the scan starts at c0 = 1
+    for m in range(p ** (n - 1), p ** n):
         coeffs = [0] * n
         rem = m
         for i in range(n - 1, -1, -1):

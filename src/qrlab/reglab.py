@@ -390,8 +390,7 @@ def check_ratio_stability(a: defform.Formula, b: defform.Formula, qs,
 
 # -- weak-regularity audit ----------------------------------------------------
 
-def weak_regularity_audit(family: Family, q: int, max_index: int = 1,
-                          seed: int = 0) -> dict:
+def weak_regularity_audit(family: Family, q: int, max_index: int = 1) -> dict:
     """Per coset pair, the measured weak-regularity defect against the
     q^{-1/4} and q^{-1/2} reference values.
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,56 @@ def test_default_moduli_are_lex_smallest():
     assert ffield.make_field(3, 2).modulus == (1, 0, 1)
     assert ffield.make_field(2, 4).modulus == (1, 0, 0, 1, 1)
     assert ffield.make_field(2, 5).modulus == (1, 0, 0, 1, 0, 1)
+    assert ffield.make_field(2, 7).modulus == (1, 0, 0, 0, 0, 0, 1, 1)
+    assert ffield.make_field(2, 8).modulus == (1, 0, 0, 0, 1, 1, 0, 1, 1)
+    assert ffield.make_field(2, 9).modulus == (1, 0, 0, 0, 0, 0, 0, 0, 1, 1)
+    assert ffield.make_field(3, 4).modulus == (1, 0, 1, 1, 1)
+    assert ffield.make_field(3, 5).modulus == (1, 0, 0, 0, 2, 1)
+    assert ffield.make_field(5, 3).modulus == (1, 0, 1, 1)
+    assert ffield.make_field(7, 3).modulus == (1, 0, 1, 1)
+    assert ffield.make_field(2, 12).modulus == (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1)
+    assert ffield.make_field(3, 7).modulus == (1, 0, 0, 0, 0, 1, 2, 1)
+    assert ffield.make_field(4093, 2).modulus == (1, 3, 1)
+    assert ffield.make_field(4093, 3).modulus == (1, 0, 2, 1)
+
+
+def _monic(p, n):
+    """Every monic polynomial of degree n over GF(p), x^i coefficient at i."""
+    return [c + (1,) for c in itertools.product(range(p), repeat=n)]
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+def _mobius(d):
+    mu = 1
+    for r in range(2, d + 1):
+        if d % r == 0:
+            d //= r
+            if d % r == 0:
+                return 0
+            mu = -mu
+    return mu
+
+
+def test_irreducibility_matches_sieve():
+    # reducible = a product of two monic polynomials of lower degree
+    for p in (2, 3, 5, 7):
+        n = 2
+        while p ** n <= 729:
+            reducible = {_poly_mul(a, b, p) for d in range(1, n // 2 + 1)
+                         for a in _monic(p, d) for b in _monic(p, n - d)}
+            irreducible = {f for f in _monic(p, n) if ffield._is_irreducible(list(f), p)}
+            assert irreducible == set(_monic(p, n)) - reducible, (p, n)
+            # Gauss: (1/n) * sum over d | n of mu(d) * p^(n/d)
+            gauss = sum(_mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0)
+            assert len(irreducible) * n == gauss, (p, n)
+            n += 1
 
 
 def test_reducible_modulus_rejected():

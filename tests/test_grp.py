@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
@@ -97,6 +98,64 @@ def test_group_law_verification_rejects_nonassociative():
         grp.make_group(table, 0)
 
 
+def associative_by_exhaustion(t: np.ndarray) -> bool:
+    """The O(n^3) reference: (a·b)·c = a·(b·c) for all b, c, one a at a time."""
+    return all(np.array_equal(t[t[a], :], t[a][t]) for a in range(len(t)))
+
+
+def is_group_by_reference(t: np.ndarray, e: int) -> bool:
+    """Latin square with identity e, associative by exhaustion."""
+    ids = list(range(len(t)))
+    latin = (all(sorted(r) == ids for r in t.tolist())
+             and all(sorted(c) == ids for c in t.T.tolist()))
+    return (latin and t[e].tolist() == ids and t[:, e].tolist() == ids
+            and associative_by_exhaustion(t))
+
+
+def swapped_cyclic(n: int) -> np.ndarray:
+    """Z/n with the intercalate at rows 1, 1 + n/2 and columns 2, 2 + n/2
+    swapped.
+
+    The swapped entries are 3 and 3 + n/2, never the identity 0, so the table
+    stays a Latin square with identity and inverses, but is not associative.
+    """
+    ids = np.arange(n, dtype=np.uint16)
+    t = (ids[:, None] + ids[None, :]) % n
+    rc = np.ix_([1, 1 + n // 2], [2, 2 + n // 2])
+    t[rc] = t[rc][::-1]
+    return t
+
+
+def _differential_tables():
+    yield from ((f"loop{i}", np.array(rows, dtype=np.uint16), 0, False) for i, rows in
+                enumerate([LOOP_PHASES, LOOP_OVERLAP, LOOP_CLASSES, LOOP_SIDES, LOOP_NORMAL]))
+    for n in (8, 64, 512, 514):
+        yield f"swapped Z/{n}", swapped_cyclic(n), 0, False
+    yield "Z/64", grp.cyclic_group(64).table, 0, True
+    for name, g in [("SL2(3)", grp.sl2(make_field(3))), ("SL2(5)", grp.sl2(make_field(5))),
+                    ("GF(2^7)+", grp.additive_group(make_field(2, 7))),
+                    ("F_13^*", grp.multiplicative_group(make_field(13)))]:
+        yield name, g.table, g.identity, True
+
+
+def test_group_laws_match_exhaustive_reference():
+    for name, table, e, is_group in _differential_tables():
+        assert is_group_by_reference(table, e) == is_group, name
+        try:
+            grp.make_group(table, e)
+            accepted = True
+        except NotAGroup:
+            accepted = False
+        assert accepted == is_group, name
+
+
+def test_group_laws_proven_above_512():
+    # Latin, with identity and inverses, and 4 bad cells out of 4096^2:
+    # sampled triples are likely to miss them, a proof of associativity not
+    with pytest.raises(NotAGroup, match="associativity"):
+        grp.make_group(swapped_cyclic(4096), 0)
+
+
 def test_conjugacy_classes_sl2_3():
     g = grp.sl2(make_field(3))
     sizes = sorted(len(c) for c in grp.conjugacy_classes(g))
@@ -166,6 +225,35 @@ def test_generated_subgroup_full_group():
     assert grp.generated_subgroup(g, [1]).size == 12
     assert grp.generated_subgroup(g, [4]).size == 3
     assert grp.generated_subgroup(g, []).size == 1
+
+
+def product_closure_by_squaring(g: grp.GroupTable, ids) -> np.ndarray:
+    """Reference: square the set until it stops growing."""
+    mask = np.zeros(g.order, dtype=bool)
+    mask[[g.identity, *ids]] = True
+    while True:
+        elems = np.flatnonzero(mask)
+        grown = mask.copy()
+        grown[g.table[np.ix_(elems, elems)]] = True
+        if (grown == mask).all():
+            return mask
+        mask = grown
+
+
+def test_closure_grows_closed_sets_to_the_product_closure():
+    # groups, and loops too: the closure never relies on associativity
+    loops = [LOOP_PHASES, LOOP_CLASSES, LOOP_SIDES, swapped_cyclic(10).tolist()]
+    for g, is_group in [(grp.sl2(make_field(3)), True), (grp.cyclic_group(12), True)] + [
+            (unchecked_group(rows), False) for rows in loops]:
+        trivial = product_closure_by_squaring(g, [])
+        for x in range(g.order):
+            closed = product_closure_by_squaring(g, [x])
+            assert np.array_equal(grp._closure(g, trivial, [x]), closed), x
+            for s in range(g.order):
+                ref = product_closure_by_squaring(g, [x, s])
+                assert np.array_equal(grp._closure(g, closed, [s]), ref), (x, s)
+                if is_group:
+                    assert np.array_equal(grp.generated_subgroup(g, [x, s]).members, ref)
 
 
 def test_character_phases_orthogonal():
