@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Commands: eval (formula over one field), report (full statistics for one
-group and connection set), sweep (a family across field sizes, CSV/JSON out),
+Commands: eval (formula over one field), report (the reglab.analyse
+statistics of one group and connection set, plus eps2 and the relation
+checks), sweep (reglab.analyse across a family's field sizes, CSV/JSON out),
 verify (relation suites).  Exit codes: 0 all good, 2 on any relation
 violation, 1 on usage errors.
 """
@@ -89,9 +90,8 @@ def _connection_from_formula(g, spec, formula):
               help="One-variable formula selecting the connection set "
                    "(applied to the trace for sl2 groups).")
 @click.option("--subgroup-max-index", default=1, show_default=True)
-@click.option("--seed", default=0, show_default=True)
 @click.option("--out", "out_path", default=None, help="Write JSON to a file.")
-def report_cmd(group_text, formula_text, subgroup_max_index, seed, out_path):
+def report_cmd(group_text, formula_text, subgroup_max_index, out_path):
     """Full quasirandomness report for one group and definable connection set."""
     g = parse_group_literal(group_text)
     spec = g.field
@@ -99,22 +99,20 @@ def report_cmd(group_text, formula_text, subgroup_max_index, seed, out_path):
     if len(f.free_vars) != 1:
         raise click.UsageError("--set-formula must have exactly one free variable")
     d = _connection_from_formula(g, spec, f)
-    rep = quasi.verify_gowers_relations(quasi.cayley_bipartite(g, d))
-    outcome = reglab.subgroup_search(g, d, subgroup_max_index)
-    fe = reglab._translate_fourier_eps(g, d, outcome.subgroup)
+    rec = reglab.analyse(g, d, subgroup_max_index)
+    rep = quasi.gowers_report(rec["graph"], rec["eps1"], rec["eps3"], rec["eps3_err"])
     doc = rep.to_json_dict()
     doc.update({
         "group": group_text,
         "set_formula": f.serialize(),
         "set_complexity": f.complexity,
-        "seed": seed,
         "modulus": list(spec.modulus),
         "order_hash": spec.order_hash,
-        "h_index": outcome.index,
-        "h_members": [int(x) for x in outcome.subgroup.element_ids()],
-        "max_coset_eps1": {"num": outcome.max_coset_eps1.numerator,
-                           "den": outcome.max_coset_eps1.denominator},
-        "fourier_eps": {"value": fe, "method": "spectral"},
+        "h_index": rec["h_index"],
+        "h_members": [int(x) for x in rec["outcome"].subgroup.element_ids()],
+        "max_coset_eps1": {"num": rec["max_coset_eps1"].numerator,
+                           "den": rec["max_coset_eps1"].denominator},
+        "fourier_eps": {"value": rec["fourier_eps"], "method": "spectral"},
     })
     text = json.dumps(doc, indent=2)
     if out_path:

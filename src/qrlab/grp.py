@@ -32,7 +32,6 @@ class GroupTable:
     identity: int
     inv: np.ndarray  # (order,) uint16
     label: str = "table"
-    element_names: Optional[tuple] = None
     field: Optional[FieldSpec] = None
     # `field` above shadows dataclasses.field from here on in the class body
     sl2_entries: Optional[np.ndarray] = dataclasses.field(  # (order, 4): a, b, c, d
@@ -63,11 +62,6 @@ class GroupTable:
     @cached_property
     def exponent(self) -> int:
         return int(np.lcm.reduce(self.element_orders))
-
-    def name_of(self, e: int) -> str:
-        if self.element_names is not None:
-            return self.element_names[e]
-        return str(e)
 
     def __str__(self):
         return f"{self.label} group of order {self.order}"
@@ -146,8 +140,7 @@ def _verify_laws(gt: GroupTable) -> None:
 
 
 def make_group(table: np.ndarray, identity: int, label: str = "table",
-               element_names=None, field_spec=None,
-               verify: bool = True) -> GroupTable:
+               field_spec=None) -> GroupTable:
     """Wraps a multiplication table, computes inverses, verifies group laws."""
     n = len(table)
     if n > ffield.TABLE_CAP:
@@ -157,10 +150,8 @@ def make_group(table: np.ndarray, identity: int, label: str = "table",
     rows, cols = np.nonzero(table == identity)
     inv[rows] = cols
     gt = GroupTable(order=n, table=table, identity=identity, inv=inv,
-                    label=label, element_names=element_names,
-                    field=field_spec)
-    if verify:
-        _verify_laws(gt)
+                    label=label, field=field_spec)
+    _verify_laws(gt)
     return gt
 
 
@@ -169,18 +160,16 @@ def make_group(table: np.ndarray, identity: int, label: str = "table",
 def additive_group(spec: FieldSpec) -> GroupTable:
     """(F_q, +) with element ids equal to field element indices."""
     fops = ops(spec)
-    names = tuple(str(spec.element(i)) for i in range(spec.q))
     return make_group(fops.add_table(), fops.zero_index, label="additive",
-                      element_names=names, field_spec=spec)
+                      field_spec=spec)
 
 
 def multiplicative_group(spec: FieldSpec) -> GroupTable:
     """(F_q^*, ·); group id e corresponds to field index e + 1."""
     fops = ops(spec)
     mt = fops.mul_table()[1:, 1:].astype(np.int64) - 1
-    names = tuple(str(spec.element(i + 1)) for i in range(spec.q - 1))
     return make_group(mt, fops.one_index - 1, label="multiplicative",
-                      element_names=names, field_spec=spec)
+                      field_spec=spec)
 
 
 def cyclic_group(n: int) -> GroupTable:
@@ -216,8 +205,7 @@ def sl2(spec: FieldSpec) -> GroupTable:
     if (table < 0).any():
         raise NotAGroup(f"a product in SL2(F_{q}) has determinant other than 1")
     ident = int(lookup[((fops.one_index * q + 0) * q + 0) * q + fops.one_index])
-    names = tuple(f"[[{ai},{bi}],[{ci},{di}]]" for ai, bi, ci, di in zip(a, b, c, d))
-    gt = make_group(table, ident, label="sl2", element_names=names, field_spec=spec)
+    gt = make_group(table, ident, label="sl2", field_spec=spec)
     gt.sl2_entries = np.stack([a, b, c, d], axis=1)
     return gt
 
@@ -293,13 +281,11 @@ class CosetDecomposition:
         return np.flatnonzero(self.coset_of == i)
 
 
-def cosets(h: Subgroup, require_normal: bool = False) -> CosetDecomposition:
+def cosets(h: Subgroup) -> CosetDecomposition:
     """Left-coset partition gH with smallest-id representatives.
 
     For normal subgroups the left and right partitions are checked equal.
     """
-    if require_normal and not h.normal:
-        raise NotNormalWhenRequired("subgroup is not normal")
     g = h.parent
     n = g.order
     elems = h.element_ids()
@@ -316,7 +302,7 @@ def cosets(h: Subgroup, require_normal: bool = False) -> CosetDecomposition:
     return CosetDecomposition(subgroup=h, reps=reps, coset_of=coset_of)
 
 
-def subgroup_group(h: Subgroup, verify: bool = True) -> GroupTable:
+def subgroup_group(h: Subgroup) -> GroupTable:
     """The subgroup as a standalone GroupTable; id i is parent id elems[i]."""
     g = h.parent
     elems = h.element_ids()
@@ -324,9 +310,7 @@ def subgroup_group(h: Subgroup, verify: bool = True) -> GroupTable:
     reindex[elems] = np.arange(len(elems))
     table = reindex[g.table[np.ix_(elems, elems)]]
     ident = int(reindex[g.identity])
-    names = tuple(g.name_of(int(e)) for e in elems)
-    return make_group(table, ident, label="subgroup", element_names=names,
-                      field_spec=g.field, verify=verify)
+    return make_group(table, ident, label="subgroup", field_spec=g.field)
 
 
 def quotient_group(h: Subgroup) -> GroupTable:

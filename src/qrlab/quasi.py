@@ -28,7 +28,6 @@ class BipartiteGraph:
     v_size: int
     w_size: int
     adj: np.ndarray  # bool, shape (w_size, v_size)
-    provenance: Optional[dict] = None
 
     def __post_init__(self):
         self.adj = np.ascontiguousarray(self.adj, dtype=bool)
@@ -72,9 +71,7 @@ def cayley_bipartite(g: GroupTable, d: np.ndarray, v=None, w=None) -> BipartiteG
             raise CosetMismatch("V and W are not cosets of a common subgroup")
     prod = g.table[v_ids[None, :], g.inv[w_ids][:, None]]  # [w, v] = v·w^{-1}
     adj = d[prod]
-    return BipartiteGraph(v_size=len(v_ids), w_size=len(w_ids), adj=adj,
-                          provenance={"group": g, "d": d,
-                                      "v_ids": v_ids, "w_ids": w_ids})
+    return BipartiteGraph(v_size=len(v_ids), w_size=len(w_ids), adj=adj)
 
 
 # -- eps1: 4-cycle defect -----------------------------------------------------
@@ -246,12 +243,21 @@ class QuasiReport:
 
 
 def verify_gowers_relations(bg: BipartiteGraph, seed: int = 0) -> QuasiReport:
-    """Computes delta, eps1, eps2 (when a side is small enough), eps3 and
-    records the polynomial-equivalence inequalities between them.
+    """Computes eps1 and eps3 of bg, then gowers_report.  Every statistic
+    is deterministic: ``seed`` is accepted but not read."""
+    e1 = eps1_quasirandomness(bg)
+    e3, e3_err = eps3_spectral(bg)
+    return gowers_report(bg, e1, e3, e3_err)
+
+
+def gowers_report(bg: BipartiteGraph, e1: Fraction, e3: float,
+                  e3_err: float) -> QuasiReport:
+    """Computes delta and eps2 (when a side is small enough) of bg and
+    records the polynomial-equivalence inequalities between them and the
+    given eps1 and eps3 (with its certified error) of bg.
 
     eps2 <= eps1^{1/4} is checked exactly (as eps2^4 <= eps1); the float
     checks inflate by the certified eps3 error plus a fixed 1e-8 slack.
-    Every statistic is deterministic: ``seed`` is accepted but not read.
 
     Two converse-direction constants are conventions rather than universally
     valid bounds and are therefore recorded as findings instead of relations
@@ -262,12 +268,10 @@ def verify_gowers_relations(bg: BipartiteGraph, seed: int = 0) -> QuasiReport:
     rows are alternately full and empty, with eps3 = 0 but eps1 > 0.)
     """
     delta = bg.delta
-    e1 = eps1_quasirandomness(bg)
     try:
         e2 = eps2_exact(bg)
     except SideTooLarge:
         e2 = None
-    e3, e3_err = eps3_spectral(bg)
     rel = {}
     findings = {}
     if e2 is not None:

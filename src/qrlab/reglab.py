@@ -140,16 +140,13 @@ class SubgroupSearchOutcome:
     per_pair: dict = field(default_factory=dict)  # (i, j) -> Fraction
 
 
-def _coset_eps1_table(g: GroupTable, d: np.ndarray, h: Subgroup) -> dict:
+def _coset_blocks(g: GroupTable, d: np.ndarray, h: Subgroup):
+    """Yields ((i, j), the graph of D between cosets i and j of h)."""
     dec = cosets(h)
-    out = {}
     for i in range(dec.index):
         vi = dec.coset_ids(i)
         for j in range(dec.index):
-            wj = dec.coset_ids(j)
-            bg = quasi.cayley_bipartite(g, d, v=vi, w=wj)
-            out[(i, j)] = quasi.eps1_quasirandomness(bg)
-    return out
+            yield (i, j), quasi.cayley_bipartite(g, d, v=vi, w=dec.coset_ids(j))
 
 
 def subgroup_search(g: GroupTable, d: np.ndarray, max_index: int) -> SubgroupSearchOutcome:
@@ -159,7 +156,8 @@ def subgroup_search(g: GroupTable, d: np.ndarray, max_index: int) -> SubgroupSea
     d = np.asarray(d, dtype=bool)
     best = None
     for h in normal_subgroups_up_to_index(g, max_index):
-        table = _coset_eps1_table(g, d, h)
+        table = {ij: quasi.eps1_quasirandomness(bg)
+                 for ij, bg in _coset_blocks(g, d, h)}
         worst = max(table.values())
         # candidates arrive sorted by (index, members), so strict improvement
         # only
@@ -190,7 +188,7 @@ def _translate_fourier_eps(g: GroupTable, d: np.ndarray, h: Subgroup) -> float:
     multiplies every Fourier coefficient by the unitary rho(h), leaving its
     operator norm unchanged.  No normality is needed.
     """
-    hg = subgroup_group(h, verify=False)  # hg id i is parent id elems[i]
+    hg = subgroup_group(h)  # hg id i is parent id elems[i]
     elems = h.element_ids()
     d_ids = np.flatnonzero(d)
     worst = 0.0
@@ -250,28 +248,36 @@ class SweepResult:
         return out
 
 
+def analyse(g: GroupTable, d: np.ndarray, max_index: int) -> dict:
+    """The statistics of (G, D), each computed once: the subgroup search
+    ("outcome", "h_index", "max_coset_eps1"), the full graph ("graph") with
+    its "delta", "eps1", "eps3" and "eps3_err", and the translate Fourier
+    eps ("fourier_eps")."""
+    outcome = subgroup_search(g, d, max_index)
+    full = quasi.cayley_bipartite(g, d)
+    e3, e3_err = quasi.eps3_spectral(full)
+    if outcome.index == 1:
+        # H = G: the one coset block is the full graph, and the one
+        # translate class has the subset parameter of D itself, eps3
+        e1, fe = outcome.per_pair[(0, 0)], e3
+    else:
+        e1 = quasi.eps1_quasirandomness(full)
+        fe = _translate_fourier_eps(g, d, outcome.subgroup)
+    return {"graph": full, "delta": full.delta, "eps1": e1, "eps3": e3,
+            "eps3_err": e3_err, "fourier_eps": fe, "h_index": outcome.index,
+            "max_coset_eps1": outcome.max_coset_eps1, "outcome": outcome}
+
+
 def sweep(family: Family, qs, max_index: int = 1, seed: int = 0) -> SweepResult:
     """Runs the family at each q, searching for the best subgroup and fitting
     log-log decay of the worst coset eps1 and the translate Fourier eps.
+    Each row is the analyse record plus "q", "modulus" and "order_hash".
     Every row is deterministic; ``seed`` is only recorded in the result."""
     rows = []
     for q in sorted(qs):
         g, d, f = family.instantiate(q)
-        outcome = subgroup_search(g, d, max_index)
-        full = quasi.cayley_bipartite(g, d)
-        e3, _ = quasi.eps3_spectral(full)
-        if outcome.index == 1:
-            # H = G: the one coset block is the full graph, and the one
-            # translate class has the subset parameter of D itself, eps3
-            e1, fe = outcome.per_pair[(0, 0)], e3
-        else:
-            e1 = quasi.eps1_quasirandomness(full)
-            fe = _translate_fourier_eps(g, d, outcome.subgroup)
         spec = g.field
-        rows.append({"q": q, "delta": full.delta, "eps1": e1, "eps3": e3,
-                     "fourier_eps": fe, "h_index": outcome.index,
-                     "max_coset_eps1": outcome.max_coset_eps1,
-                     "outcome": outcome,
+        rows.append({"q": q, **analyse(g, d, max_index),
                      "modulus": spec.modulus if spec else (),
                      "order_hash": spec.order_hash if spec else ""})
     nz = [r for r in rows if r["max_coset_eps1"] > 0]
@@ -399,20 +405,15 @@ def weak_regularity_audit(family: Family, q: int, max_index: int = 1) -> dict:
     """
     g, d, f = family.instantiate(q)
     outcome = subgroup_search(g, d, max_index)
-    dec = cosets(outcome.subgroup)
     pairs = {}
-    for i in range(dec.index):
-        vi = dec.coset_ids(i)
-        for j in range(dec.index):
-            wj = dec.coset_ids(j)
-            bg = quasi.cayley_bipartite(g, d, v=vi, w=wj)
-            try:
-                val = float(quasi.eps2_exact(bg))
-                exact = True
-            except SideTooLarge:
-                val = float(quasi.eps1_quasirandomness(bg)) ** 0.25
-                exact = False
-            pairs[(i, j)] = {"defect": val, "exact": exact}
+    for ij, bg in _coset_blocks(g, d, outcome.subgroup):
+        try:
+            val = float(quasi.eps2_exact(bg))
+            exact = True
+        except SideTooLarge:
+            val = float(quasi.eps1_quasirandomness(bg)) ** 0.25
+            exact = False
+        pairs[ij] = {"defect": val, "exact": exact}
     return {"q": q, "family": family.name, "h_index": outcome.index,
             "pairs": pairs, "q_quarter": q ** -0.25, "q_half": q ** -0.5,
             "max_defect": max(p["defect"] for p in pairs.values())}

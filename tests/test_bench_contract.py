@@ -3,8 +3,10 @@
 perfbench/ calls qrlab through fixed function names and keyword arguments,
 and its tracer patches module attributes by name, raising on any name that
 is missing or rebound.  This sends one small call of each kind through every
-workload's ``run`` and ``check`` with the tracer installed and recording.  It
-runs in a subprocess so the patched attributes do not leak into other tests.
+workload's ``run`` and ``check`` with the tracer installed and recording,
+each case under its own item id, and pins the work traced for the paley
+sweep.  It runs in a subprocess so the patched attributes do not leak into
+other tests.
 """
 
 from __future__ import annotations
@@ -39,12 +41,15 @@ text, _, want = counting.DIM_MEASURE[0]
 cases.append((counting, Call("dim", (text, [101, 103, 107, 109, 113], want))))
 
 failures = []
-for workload, call in cases:
+for i, (workload, call) in enumerate(cases):
+    tracer.item = i
     err = workload.check(call, workload.run(call))
     if err:
         failures.append(f"{workload.name} {call.kind}: {err}")
+paley_calls = {name: stats["calls"] for name, stats in tracer.summarize({0}).items()}
 print(json.dumps({"calls": len(cases), "failures": failures,
-                  "traced": sorted(tracer.summarize())}))
+                  "traced": sorted(tracer.summarize()),
+                  "paley_calls": paley_calls}))
 """
 
 
@@ -60,3 +65,10 @@ def test_workloads_run_and_check_under_tracer():
                  "fourier.subset_qr_characters", "fourier.irrep_dimensions",
                  "reglab.estimate_dim_measure", "defform.evaluate"):
         assert name in out["traced"], name
+    # the paley sweep at index 1: one search, whose one coset block is the
+    # full graph, and eps3 of that graph, which is also the Fourier eps
+    paley = out["paley_calls"]
+    assert paley["reglab.subgroup_search"] == 1
+    assert paley["quasi.eps3_spectral"] == 1
+    assert paley["quasi.eps1_quasirandomness"] == 1
+    assert paley.get("reglab.translate_fourier_eps", 0) == 0

@@ -9,7 +9,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from qrlab import cli
+from qrlab import cli, defform, fourier, quasi, reglab
+from qrlab.grp import parse_group_literal
+
+SQUARE = "exists y. x = y*y & !(x = 0)"
 
 
 def run(*args):
@@ -53,7 +56,79 @@ def test_report_artin_schreier(tmp_path):
     assert doc["max_coset_eps1"] == {"num": 0, "den": 1}
     assert doc["fourier_eps"]["value"] < 1e-12
     assert doc["modulus"] == [1, 1, 1]
-    assert doc["seed"] == 0 and doc["order_hash"]
+    assert "seed" not in doc and doc["order_hash"]
+
+
+def _report_reference(group_text, formula_text, max_index):
+    """The report built the way it was before reglab.analyse: the relations
+    on the full graph, the subgroup search and the translate Fourier eps,
+    each computed on its own."""
+    g = parse_group_literal(group_text)
+    f = defform.parse(formula_text)
+    d = cli._connection_from_formula(g, g.field, f)
+    rep = quasi.verify_gowers_relations(quasi.cayley_bipartite(g, d))
+    outcome = reglab.subgroup_search(g, d, max_index)
+    fe = reglab._translate_fourier_eps(g, d, outcome.subgroup)
+    doc = rep.to_json_dict()
+    doc.update({
+        "group": group_text,
+        "set_formula": f.serialize(),
+        "set_complexity": f.complexity,
+        "modulus": list(g.field.modulus),
+        "order_hash": g.field.order_hash,
+        "h_index": outcome.index,
+        "h_members": [int(x) for x in outcome.subgroup.element_ids()],
+        "max_coset_eps1": {"num": outcome.max_coset_eps1.numerator,
+                           "den": outcome.max_coset_eps1.denominator},
+        "fourier_eps": {"value": fe, "method": "spectral"},
+    })
+    return doc
+
+
+@pytest.mark.parametrize("group_text, formula_text, max_index, exact", [
+    ("add:13", SQUARE, 1, True),
+    ("add:3^4", "exists y. x = y*y*y - y", 3, True),
+    ("mul:13", SQUARE, 4, True),
+    ("sl2:3", SQUARE, 3, True),
+    # The reference's one translate is D·t for t the smallest id, which on
+    # SL2 is not the identity: a relabelling of D whose eps3 agrees with
+    # D's up to the certified error, not to the last bit.
+    ("sl2:5", SQUARE, 1, False),
+])
+def test_report_matches_reference(group_text, formula_text, max_index, exact):
+    res = run("report", "--group", group_text, "--set-formula", formula_text,
+              "--subgroup-max-index", str(max_index))
+    assert res.exit_code == 0
+    ref = _report_reference(group_text, formula_text, max_index)
+    if exact:
+        assert res.output == json.dumps(ref, indent=2) + "\n"
+        return
+    doc = json.loads(res.output)
+    got, want = doc.pop("fourier_eps"), ref.pop("fourier_eps")
+    assert doc == ref
+    assert abs(got["value"] - want["value"]) <= doc["eps3"]["error"]
+
+
+@pytest.mark.parametrize("args", [
+    ("report", "--group", "add:13", "--set-formula", SQUARE),
+    ("sweep", "--family", "paley", "--qs", "13"),
+])
+def test_index_one_computes_eps1_and_eps3_once(monkeypatch, args):
+    calls = {"eps1": 0, "eps3": 0}
+
+    def counted(name, fn):
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+        return wrapper
+
+    eps1 = counted("eps1", quasi.eps1_quasirandomness)
+    eps3 = counted("eps3", quasi.eps3_spectral)
+    for module in (quasi, fourier):
+        monkeypatch.setattr(module, "eps1_quasirandomness", eps1)
+        monkeypatch.setattr(module, "eps3_spectral", eps3)
+    assert run(*args).exit_code == 0
+    assert calls == {"eps1": 1, "eps3": 1}
 
 
 def test_sweep_csv(tmp_path):

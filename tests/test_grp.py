@@ -196,7 +196,7 @@ def test_cosets_partition():
         assert dec.reps[i] == dec.coset_ids(i).min()
 
 
-def test_cosets_require_normal_flag():
+def test_cosets_of_non_normal_subgroup():
     g = grp.sl2(make_field(3))
     # a non-normal 2-element subgroup generated by an order-2... center is
     # the only order-2; use an order-3 element instead (non-normal)
@@ -204,7 +204,7 @@ def test_cosets_require_normal_flag():
     h = grp.generated_subgroup(g, [x])
     assert not h.normal
     with pytest.raises(NotNormalWhenRequired):
-        grp.cosets(h, require_normal=True)
+        grp.quotient_group(h)
     dec = grp.cosets(h)  # left cosets still fine
     assert dec.index == 8
 
