@@ -471,15 +471,17 @@ def _nonabelian_normal_subgroups(g: GroupTable, max_index: int) -> list:
 
 
 def normal_subgroups_up_to_index(g: GroupTable, max_index: int) -> list:
-    """All normal subgroups of index at most max_index, each verified.
+    """All normal subgroups of index at most max_index (at least 1), each
+    verified.
 
     Abelian groups intersect character kernels walking down from G;
     nonabelian groups join normal closures of conjugacy classes walking up
     from the trivial subgroup.
     """
-    full = Subgroup(parent=g, members=np.ones(g.order, dtype=bool))
-    if max_index <= 1:
-        return [full]
+    if max_index < 1:
+        raise QrlabError(f"max index {max_index} is below 1")
+    if max_index == 1:
+        return [Subgroup(parent=g, members=np.ones(g.order, dtype=bool))]
     if g.is_abelian:
         subs = _abelian_normal_subgroups(g, max_index)
     else:

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CosetMismatch, ShapeMismatch, SideTooLarge
-from .grp import GroupTable
+from .errors import QrlabError, ShapeMismatch, SideTooLarge
+from .grp import GroupTable, Subgroup
 
 EPS2_SIDE_CAP = 22
 FLOAT_SLACK = 1e-8
@@ -44,34 +44,21 @@ class BipartiteGraph:
         return Fraction(self.edges, self.v_size * self.w_size)
 
 
-def _is_coset(g: GroupTable, ids: np.ndarray) -> Optional[np.ndarray]:
-    """If ids = x·H for a subgroup H, returns H's member ids, else None."""
-    ids = np.sort(np.asarray(ids, dtype=np.int64))
-    x = int(ids[0])
-    h = np.sort(g.table[g.inv[x], ids])
-    mask = np.zeros(g.order, dtype=bool)
-    mask[h] = True
-    if not mask[g.identity] or not mask[g.table[np.ix_(h, h)]].all():
-        return None
-    return h
+def cayley_bipartite(g: GroupTable, d: np.ndarray, h: Optional[Subgroup] = None,
+                     t: Optional[int] = None) -> BipartiteGraph:
+    """The bipartite graph (H, tH, v·w^{-1} in D) for a subgroup H of g and
+    a group id t (defaults: H = G, t = e).
 
-
-def cayley_bipartite(g: GroupTable, d: np.ndarray, v=None, w=None) -> BipartiteGraph:
-    """The bipartite graph (V, W, v·w^{-1} in D) for cosets V, W of a common
-    subgroup (defaults: V = W = all of G)."""
+    Column a is H's a-th member in id order and row b is t times it, so the
+    graph is the Cayley graph on H of Dt ∩ H.
+    """
+    if h is not None and h.parent is not g:
+        raise QrlabError("h is not a subgroup of g")
     d = np.asarray(d, dtype=bool)
-    v_ids = np.arange(g.order) if v is None else np.sort(np.asarray(v, dtype=np.int64))
-    w_ids = np.arange(g.order) if w is None else np.sort(np.asarray(w, dtype=np.int64))
-    if len(v_ids) != len(w_ids):
-        raise CosetMismatch("V and W have different sizes")
-    if len(v_ids) != g.order:
-        hv = _is_coset(g, v_ids)
-        hw = _is_coset(g, w_ids)
-        if hv is None or hw is None or not np.array_equal(hv, hw):
-            raise CosetMismatch("V and W are not cosets of a common subgroup")
-    prod = g.table[v_ids[None, :], g.inv[w_ids][:, None]]  # [w, v] = v·w^{-1}
-    adj = d[prod]
-    return BipartiteGraph(v_size=len(v_ids), w_size=len(w_ids), adj=adj)
+    elems = np.arange(g.order) if h is None else h.element_ids()
+    w_ids = elems if t is None else g.table[t, elems]
+    adj = d[g.table[elems[None, :], g.inv[w_ids][:, None]]]  # [w, v] = v·w^{-1}
+    return BipartiteGraph(v_size=len(elems), w_size=len(elems), adj=adj)
 
 
 # -- eps1: 4-cycle defect -----------------------------------------------------

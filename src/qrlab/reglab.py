@@ -16,8 +16,8 @@ from . import defform, fourier, quasi
 from .errors import InadmissibleQ, NotSubset, ShapeMismatch, SideTooLarge
 from .ffield import FieldSpec, is_prime, make_field
 from .grp import (GroupTable, Subgroup, additive_group, cosets,
-                  multiplicative_group, normal_subgroups_up_to_index, sl2,
-                  subgroup_group)
+                  multiplicative_group, normal_subgroups_up_to_index, sl2)
+from .grp import subgroup_group  # unused here; perfbench/spans.py patches it on reglab
 
 RATIO_MAX_DEN = 64
 
@@ -134,19 +134,25 @@ def builtin_families() -> dict:
 
 @dataclass
 class SubgroupSearchOutcome:
+    """The winning subgroup H and the eps1 of its coset blocks.
+
+    per_coset[k] is eps1 of the block (H, x_k H) for x_k = cosets(H).reps[k].
+    Right multiplication by x_i^{-1} maps the block between cosets x_i H and
+    x_j H onto (H, x_j x_i^{-1} H), so that block has eps1
+    per_coset[coset_of[x_j·x_i^{-1}]].
+    """
+
     subgroup: Subgroup
     max_coset_eps1: Fraction
     index: int
-    per_pair: dict = field(default_factory=dict)  # (i, j) -> Fraction
+    per_coset: tuple = ()
 
 
-def _coset_blocks(g: GroupTable, d: np.ndarray, h: Subgroup):
-    """Yields ((i, j), the graph of D between cosets i and j of h)."""
-    dec = cosets(h)
-    for i in range(dec.index):
-        vi = dec.coset_ids(i)
-        for j in range(dec.index):
-            yield (i, j), quasi.cayley_bipartite(g, d, v=vi, w=dec.coset_ids(j))
+def _coset_blocks(g: GroupTable, h: Subgroup, d: np.ndarray) -> list:
+    """The graphs (H, tH, v·w^{-1} in D) for t in cosets(h).reps: one block
+    per coset, which for normal H covers every coset pair up to relabelling
+    (see SubgroupSearchOutcome)."""
+    return [quasi.cayley_bipartite(g, d, h, int(t)) for t in cosets(h).reps]
 
 
 def subgroup_search(g: GroupTable, d: np.ndarray, max_index: int) -> SubgroupSearchOutcome:
@@ -156,14 +162,14 @@ def subgroup_search(g: GroupTable, d: np.ndarray, max_index: int) -> SubgroupSea
     d = np.asarray(d, dtype=bool)
     best = None
     for h in normal_subgroups_up_to_index(g, max_index):
-        table = {ij: quasi.eps1_quasirandomness(bg)
-                 for ij, bg in _coset_blocks(g, d, h)}
-        worst = max(table.values())
+        per_coset = tuple(quasi.eps1_quasirandomness(bg)
+                          for bg in _coset_blocks(g, h, d))
+        worst = max(per_coset)
         # candidates arrive sorted by (index, members), so strict improvement
         # only
         if best is None or worst < best.max_coset_eps1:
             best = SubgroupSearchOutcome(subgroup=h, max_coset_eps1=worst,
-                                         index=h.index, per_pair=table)
+                                         index=h.index, per_coset=per_coset)
     return best
 
 
@@ -181,23 +187,15 @@ def _ols_slope(xs, ys):
 
 
 def _translate_fourier_eps(g: GroupTable, d: np.ndarray, h: Subgroup) -> float:
-    """max over translate classes of the subset parameter of Dg ∩ H inside H.
+    """max over translate classes of the subset parameter of Dt ∩ H inside H.
 
-    One representative g per coset gH suffices: for h in H,
-    Dgh ∩ H = (Dg ∩ H)·h is a right translate inside H, and right translation
-    multiplies every Fourier coefficient by the unitary rho(h), leaving its
-    operator norm unchanged.  No normality is needed.
+    The coset block (H, tH) is the Cayley graph on H of Dt ∩ H, so its eps3
+    is that subset parameter.  One representative t per coset suffices: for
+    h in H, Dth ∩ H = (Dt ∩ H)·h is a right translate inside H, and right
+    translation multiplies every Fourier coefficient by the unitary rho(h),
+    leaving its operator norm unchanged.  No normality is needed.
     """
-    hg = subgroup_group(h)  # hg id i is parent id elems[i]
-    elems = h.element_ids()
-    d_ids = np.flatnonzero(d)
-    worst = 0.0
-    for t in cosets(h).reps:
-        dg = np.zeros(g.order, dtype=bool)
-        dg[g.table[d_ids, t]] = True
-        sq = fourier.subset_qr_spectral(hg, dg[elems])
-        worst = max(worst, sq.eps)
-    return worst
+    return max(quasi.eps3_spectral(bg)[0] for bg in _coset_blocks(g, h, d))
 
 
 @dataclass
@@ -259,7 +257,7 @@ def analyse(g: GroupTable, d: np.ndarray, max_index: int) -> dict:
     if outcome.index == 1:
         # H = G: the one coset block is the full graph, and the one
         # translate class has the subset parameter of D itself, eps3
-        e1, fe = outcome.per_pair[(0, 0)], e3
+        e1, fe = outcome.per_coset[0], e3
     else:
         e1 = quasi.eps1_quasirandomness(full)
         fe = _translate_fourier_eps(g, d, outcome.subgroup)
@@ -397,26 +395,27 @@ def check_ratio_stability(a: defform.Formula, b: defform.Formula, qs,
 # -- weak-regularity audit ----------------------------------------------------
 
 def weak_regularity_audit(family: Family, q: int, max_index: int = 1) -> dict:
-    """Per coset pair, the measured weak-regularity defect against the
+    """Per coset block, the measured weak-regularity defect against the
     q^{-1/4} and q^{-1/2} reference values.
 
-    Uses the exact cut-norm defect when the coset is small enough and the
-    eps1^{1/4} upper bound otherwise.
+    "per_coset"[k] is the block (H, x_k H) of the winning subgroup, under
+    the law of SubgroupSearchOutcome.  Uses the exact cut-norm defect when
+    the coset is small enough and the eps1^{1/4} upper bound otherwise.
     """
     g, d, f = family.instantiate(q)
     outcome = subgroup_search(g, d, max_index)
-    pairs = {}
-    for ij, bg in _coset_blocks(g, d, outcome.subgroup):
+    per_coset = []
+    for bg in _coset_blocks(g, outcome.subgroup, d):
         try:
             val = float(quasi.eps2_exact(bg))
             exact = True
         except SideTooLarge:
             val = float(quasi.eps1_quasirandomness(bg)) ** 0.25
             exact = False
-        pairs[ij] = {"defect": val, "exact": exact}
+        per_coset.append({"defect": val, "exact": exact})
     return {"q": q, "family": family.name, "h_index": outcome.index,
-            "pairs": pairs, "q_quarter": q ** -0.25, "q_half": q ** -0.5,
-            "max_defect": max(p["defect"] for p in pairs.values())}
+            "per_coset": per_coset, "q_quarter": q ** -0.25, "q_half": q ** -0.5,
+            "max_defect": max(p["defect"] for p in per_coset)}
 
 
 # -- verification suites --------------------------------------------------------

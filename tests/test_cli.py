@@ -6,10 +6,11 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qrlab import cli, defform, fourier, quasi, reglab
+from qrlab import cli, defform, fourier, grp, quasi, reglab
 from qrlab.grp import parse_group_literal
 
 SQUARE = "exists y. x = y*y & !(x = 0)"
@@ -62,13 +63,19 @@ def test_report_artin_schreier(tmp_path):
 def _report_reference(group_text, formula_text, max_index):
     """The report built the way it was before reglab.analyse: the relations
     on the full graph, the subgroup search and the translate Fourier eps,
-    each computed on its own."""
+    each computed on its own.  The Fourier eps is the subset parameter of
+    Dt ∩ H inside H as a group of its own, for one t per coset."""
     g = parse_group_literal(group_text)
     f = defform.parse(formula_text)
     d = cli._connection_from_formula(g, g.field, f)
     rep = quasi.verify_gowers_relations(quasi.cayley_bipartite(g, d))
     outcome = reglab.subgroup_search(g, d, max_index)
-    fe = reglab._translate_fourier_eps(g, d, outcome.subgroup)
+    h = outcome.subgroup
+    hg, fe = grp.subgroup_group(h), 0.0
+    for t in grp.cosets(h).reps:
+        dt = np.zeros(g.order, dtype=bool)
+        dt[g.table[np.flatnonzero(d), t]] = True
+        fe = max(fe, fourier.subset_qr_spectral(hg, dt[h.element_ids()]).eps)
     doc = rep.to_json_dict()
     doc.update({
         "group": group_text,
@@ -189,6 +196,19 @@ def test_inadmissible_q_exit_code(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--group", "add:13", "--set-formula", SQUARE,
+     "--subgroup-max-index", "0"),
+    ("sweep", "--family", "paley", "--qs", "13", "--max-index", "-2"),
+])
+def test_max_index_below_one_exit_code(monkeypatch, capsys, argv):
+    monkeypatch.setattr("sys.argv", ["qr", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("error: max index")
 
 
 def test_help_exits_zero():

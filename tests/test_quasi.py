@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qrlab import grp, quasi, reglab
-from qrlab.errors import CosetMismatch, ShapeMismatch, SideTooLarge
+from qrlab.errors import QrlabError, ShapeMismatch, SideTooLarge
 from qrlab.ffield import make_field
 
 
@@ -82,46 +82,20 @@ def test_cayley_bipartite_extremes():
     assert empty.edges == 0
 
 
-def test_cayley_bipartite_coset_mismatch():
-    g = grp.cyclic_group(12)
-    with pytest.raises(CosetMismatch):
-        quasi.cayley_bipartite(g, np.ones(12, dtype=bool),
-                               v=[0, 1, 2], w=[0, 1, 2, 3])
-    with pytest.raises(CosetMismatch):
-        # {0,1,3} is not a coset of any subgroup of Z/12
-        quasi.cayley_bipartite(g, np.ones(12, dtype=bool),
-                               v=[0, 1, 3], w=[0, 1, 3])
-    # genuine cosets work
-    bg = quasi.cayley_bipartite(g, np.ones(12, dtype=bool),
-                                v=[1, 4, 7, 10], w=[2, 5, 8, 11])
-    assert bg.v_size == 4
-
-
-def is_coset_reference(g, ids):
-    """ids = x·H for a subgroup H, by the pairwise closure loop."""
-    ids = sorted(int(i) for i in ids)
-    h = {int(g.table[g.inv[ids[0]], i]) for i in ids}
-    return g.identity in h and all(int(g.table[a, b]) in h for a in h for b in h)
-
-
-def test_is_coset_matches_reference():
-    rng = np.random.default_rng(4)
-    for g in [grp.cyclic_group(12), grp.sl2(make_field(3)),
-              grp.multiplicative_group(make_field(13))]:
-        candidates = [np.flatnonzero(rng.random(g.order) < p)
-                      for p in (0.1, 0.3, 0.5) for _ in range(20)]
-        for x in range(g.order):
-            dec = grp.cosets(grp.generated_subgroup(g, [x]))
-            for i in range(min(2, dec.index)):
-                ids = dec.coset_ids(i)
-                candidates += [ids, np.union1d(ids, [(ids[0] + 1) % g.order])]
-        verdicts = set()
-        for ids in candidates:
-            if len(ids):
-                got = quasi._is_coset(g, ids) is not None
-                assert got == is_coset_reference(g, ids)
-                verdicts.add(got)
-        assert verdicts == {True, False}
+def test_cayley_bipartite_coset_block():
+    # column a is H's a-th member, row b is t times it: adj[b, a] = D(a·(t·b)^-1)
+    g = grp.sl2(make_field(3))
+    h = next(s for s in grp.normal_subgroups_up_to_index(g, 3) if s.index == 3)
+    d = np.random.default_rng(1).random(g.order) < 0.4
+    elems = h.element_ids()
+    for t in range(g.order):
+        bg = quasi.cayley_bipartite(g, d, h, t)
+        assert bg.v_size == bg.w_size == 8
+        for b, a in [(0, 0), (3, 5), (7, 2)]:
+            w = g.table[t, elems[b]]
+            assert bg.adj[b, a] == d[g.table[elems[a], g.inv[w]]]
+    with pytest.raises(QrlabError):
+        quasi.cayley_bipartite(grp.sl2(make_field(3)), d, h, 0)
 
 
 def test_bipartite_graph_shape_checked():
@@ -167,12 +141,9 @@ def test_eps1_artin_schreier_blocks_zero():
     d = np.zeros(4, dtype=bool)
     d[[0, 2]] = True  # the image subgroup itself
     h = grp.Subgroup(parent=g, members=d)
-    dec = grp.cosets(h)
-    for i in range(2):
-        for j in range(2):
-            bg = quasi.cayley_bipartite(g, d, v=dec.coset_ids(i),
-                                        w=dec.coset_ids(j))
-            assert quasi.eps1_quasirandomness(bg) == 0
+    for t in grp.cosets(h).reps:
+        bg = quasi.cayley_bipartite(g, d, h, t)
+        assert quasi.eps1_quasirandomness(bg) == 0
 
 
 def test_eps2_single_edge():
@@ -221,10 +192,9 @@ def test_eps3_matches_dense_svd():
     graphs.append(quasi.cayley_bipartite(g, d))
     # coset blocks of GF(27)+ over the Artin-Schreier subgroup, random D
     g, h_mask, _ = fams["artin_schreier"].instantiate(27)
-    dec = grp.cosets(grp.Subgroup(parent=g, members=h_mask))
+    h = grp.Subgroup(parent=g, members=h_mask)
     d = rng.random(g.order) < 0.4
-    graphs += [quasi.cayley_bipartite(g, d, v=dec.coset_ids(i), w=dec.coset_ids(j))
-               for i, j in [(0, 0), (0, 1), (2, 1)]]
+    graphs += [quasi.cayley_bipartite(g, d, h, t) for t in grp.cosets(h).reps]
     # rectangular and irregular, both orientations
     adj = rng.random((7, 23)) < 0.3
     graphs += [quasi.BipartiteGraph(23, 7, adj), quasi.BipartiteGraph(7, 23, adj.T)]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qrlab import defform, fourier, grp, quasi, reglab
-from qrlab.errors import InadmissibleQ, NotSubset, ShapeMismatch
+from qrlab.errors import InadmissibleQ, NotSubset, QrlabError, ShapeMismatch
 
 ODD_PRIME_POWERS = [5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41,
                     43, 47, 49, 53, 59, 61]
@@ -106,6 +106,40 @@ def test_subgroup_search_prime_order():
     g, d, _ = fam.instantiate(13)
     out = reglab.subgroup_search(g, d, 3)
     assert out.index == 1
+
+
+def test_subgroup_search_rejects_max_index_below_one():
+    g, d, _ = reglab.builtin_families()["paley"].instantiate(13)
+    for bad in (0, -2):
+        with pytest.raises(QrlabError, match="below 1"):
+            reglab.subgroup_search(g, d, bad)
+
+
+def counted(monkeypatch, module, names):
+    """Wraps module.<name> for each name to count its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(module, name)
+
+        def wrapper(*a, _name=name, _fn=fn, **kw):
+            calls[_name] += 1
+            return _fn(*a, **kw)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_one_block_per_coset(monkeypatch):
+    # (Z/3)^4 has 40 subgroups of index 3 besides G itself: 1 + 40·3 blocks
+    # (one per coset), not 1 + 40·9 (one per coset pair)
+    fam = reglab.builtin_families()["artin_schreier"]
+    g, d, _ = fam.instantiate(81)
+    calls = counted(monkeypatch, quasi, ["cayley_bipartite", "eps1_quasirandomness"])
+    reglab.subgroup_search(g, d, 3)
+    assert calls == {"cayley_bipartite": 121, "eps1_quasirandomness": 121}
+    # GF(27): 1 + 13·3 blocks in the search, then 3 for the winner's eps2
+    calls = counted(monkeypatch, quasi, ["cayley_bipartite"])
+    reglab.weak_regularity_audit(fam, 27, 3)
+    assert calls == {"cayley_bipartite": 43}
 
 
 def test_subgroup_search_monotone_in_max_index():
@@ -207,7 +241,7 @@ def test_weak_regularity_audit():
     e1 = float(quasi.eps1_quasirandomness(
         quasi.cayley_bipartite(*fams["paley"].instantiate(13)[:2])))
     assert rec13["max_defect"] <= e1 ** 0.25
-    assert rec13["pairs"][(0, 0)]["exact"]
+    assert rec13["per_coset"][0]["exact"]
 
 
 def test_verify_suites_pass():
@@ -250,6 +284,55 @@ def translate_cases():
     for h in grp.normal_subgroups_up_to_index(g, 4):
         yield f"F_13^* index {h.index}", g, d, h
         yield f"F_13^* index {h.index} random D", g, rng.random(g.order) < 0.4, h
+
+
+def block_law_cases():
+    fams = reglab.builtin_families()
+    for q in (27, 81):
+        g, d, _ = fams["artin_schreier"].instantiate(q)
+        yield f"GF({q})+", g, d, grp.Subgroup(parent=g, members=d)
+    g, d, _ = fams["mult_cubes"].instantiate(13)
+    for h in grp.normal_subgroups_up_to_index(g, 4):
+        yield f"F_13^* index {h.index}", g, d, h
+    g, d, _ = fams["sl2_trace_square"].instantiate(3)
+    for h in grp.normal_subgroups_up_to_index(g, 12):
+        if h.index in (3, 12):  # Q8 and the centre
+            yield f"SL2(3) index {h.index}", g, d, h
+
+
+def test_coset_blocks_follow_the_block_law():
+    # the (i, j) block, built densely over x_iH x x_jH, has the statistics of
+    # block coset_of[x_j·x_i^-1]; block k is the Cayley graph on H of Dx_k ∩ H
+    rng = np.random.default_rng(11)
+    cases = list(block_law_cases())
+    cases += [(name + " random D", g, rng.random(g.order) < 0.4, h)
+              for name, g, _, h in cases]
+    for name, g, d, h in cases:
+        dec = grp.cosets(h)
+        blocks = reglab._coset_blocks(g, h, d)
+        assert len(blocks) == dec.index, name
+        e1 = [quasi.eps1_quasirandomness(bg) for bg in blocks]
+        small = h.size <= quasi.EPS2_SIDE_CAP
+        e2 = [quasi.eps2_exact(bg) for bg in blocks] if small else None
+        hg, elems = grp.subgroup_group(h), h.element_ids()
+        for k, x in enumerate(dec.reps):
+            dx = np.zeros(g.order, dtype=bool)
+            dx[g.table[np.flatnonzero(d), x]] = True
+            ref = quasi.cayley_bipartite(hg, dx[elems])
+            assert np.array_equal(blocks[k].adj, ref.adj), (name, k)
+        for i, xi in enumerate(dec.reps):
+            vi = dec.coset_ids(i)
+            for j, xj in enumerate(dec.reps):
+                wj = dec.coset_ids(j)
+                dense = quasi.BipartiteGraph(
+                    len(vi), len(wj), d[g.table[vi[None, :], g.inv[wj][:, None]]])
+                k = int(dec.coset_of[g.table[xj, g.inv[xi]]])
+                assert quasi.eps1_quasirandomness(dense) == e1[k], (name, i, j)
+                if small:
+                    assert quasi.eps2_exact(dense) == e2[k], (name, i, j)
+        out = reglab.subgroup_search(g, d, h.index)
+        if out.subgroup == h:
+            assert out.per_coset == tuple(e1), name
 
 
 def test_translate_fourier_eps_needs_one_translate_per_coset():
