@@ -100,7 +100,9 @@ def report_cmd(group_text, formula_text, subgroup_max_index, out_path):
         raise click.UsageError("--set-formula must have exactly one free variable")
     d = _connection_from_formula(g, spec, f)
     rec = reglab.analyse(g, d, subgroup_max_index)
-    rep = quasi.gowers_report(rec["graph"], rec["eps1"], rec["eps3"], rec["eps3_err"])
+    # the full graph, for eps2 and the biregularity check
+    rep = quasi.gowers_report(quasi.cayley_bipartite(g, d), rec["eps1"],
+                              rec["eps3"], rec["eps3_err"])
     doc = rep.to_json_dict()
     doc.update({
         "group": group_text,

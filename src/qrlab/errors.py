@@ -83,6 +83,11 @@ class DegeneracyNotResolved(QrlabError):
     pass
 
 
+class RoundingNotCertified(QrlabError):
+    """A float transform's a-priori rounding bound does not fix the exact
+    integers it should round to."""
+
+
 # -- experiment harness -----------------------------------------------------
 
 class InadmissibleQ(QrlabError):

@@ -33,6 +33,10 @@ class GroupTable:
     inv: np.ndarray  # (order,) uint16
     label: str = "table"
     field: Optional[FieldSpec] = None
+    # id x is the mixed-radix number of its digits, first digit most
+    # significant, and the product adds digits, each modulo its radix;
+    # () when the ids have no such layout
+    radix: tuple = ()
     # `field` above shadows dataclasses.field from here on in the class body
     sl2_entries: Optional[np.ndarray] = dataclasses.field(  # (order, 4): a, b, c, d
         default=None, init=False, repr=False, compare=False)
@@ -139,9 +143,24 @@ def _verify_laws(gt: GroupTable) -> None:
         span = _closure(gt, span, [s])
 
 
+def _verify_radix(gt: GroupTable) -> None:
+    """Proves the digit layout gt.radix.  With id 0 the identity, the law is
+    fixed by the products u_i·x, u_i the id with digit i one and every other
+    digit zero: the table is a group, so every id is a product of the u_i.
+    Each such row must add one to digit i, modulo its radix."""
+    if int(np.prod(gt.radix)) != gt.order or gt.identity != 0:
+        raise NotAGroup(f"radix {gt.radix} does not lay out {gt.order} ids from 0")
+    ids = np.arange(gt.order).reshape(gt.radix)
+    for axis in range(len(gt.radix)):
+        shifted = np.roll(ids, -1, axis=axis).ravel()  # x with digit `axis` + 1
+        if not np.array_equal(gt.table[shifted[0]], shifted):
+            raise NotAGroup(f"the product does not add digit {axis} modulo {gt.radix[axis]}")
+
+
 def make_group(table: np.ndarray, identity: int, label: str = "table",
-               field_spec=None) -> GroupTable:
-    """Wraps a multiplication table, computes inverses, verifies group laws."""
+               field_spec=None, radix: tuple = ()) -> GroupTable:
+    """Wraps a multiplication table, computes inverses, verifies group laws
+    and, when given, the digit layout `radix` (see GroupTable.radix)."""
     n = len(table)
     if n > ffield.TABLE_CAP:
         raise OrderCap(f"group order {n} exceeds dense table cap {ffield.TABLE_CAP}")
@@ -150,18 +169,21 @@ def make_group(table: np.ndarray, identity: int, label: str = "table",
     rows, cols = np.nonzero(table == identity)
     inv[rows] = cols
     gt = GroupTable(order=n, table=table, identity=identity, inv=inv,
-                    label=label, field=field_spec)
+                    label=label, field=field_spec, radix=tuple(radix))
     _verify_laws(gt)
+    if gt.radix:
+        _verify_radix(gt)
     return gt
 
 
 # -- constructors -------------------------------------------------------------
 
 def additive_group(spec: FieldSpec) -> GroupTable:
-    """(F_q, +) with element ids equal to field element indices."""
+    """(F_q, +) with element ids equal to field element indices: the
+    coefficient digits (c0, ..., c_{n-1}), c0 most significant."""
     fops = ops(spec)
     return make_group(fops.add_table(), fops.zero_index, label="additive",
-                      field_spec=spec)
+                      field_spec=spec, radix=(spec.p,) * spec.n)
 
 
 def multiplicative_group(spec: FieldSpec) -> GroupTable:
@@ -175,7 +197,8 @@ def multiplicative_group(spec: FieldSpec) -> GroupTable:
 def cyclic_group(n: int) -> GroupTable:
     """Z/n written additively; id arithmetic is addition mod n."""
     ids = np.arange(n)
-    return make_group((ids[:, None] + ids[None, :]) % n, 0, label="product")
+    return make_group((ids[:, None] + ids[None, :]) % n, 0, label="product",
+                      radix=(n,))
 
 
 def sl2(spec: FieldSpec) -> GroupTable:
@@ -272,13 +295,6 @@ class CosetDecomposition:
     subgroup: Subgroup
     reps: np.ndarray      # smallest id in each coset, sorted
     coset_of: np.ndarray  # id -> coset number
-
-    @property
-    def index(self) -> int:
-        return len(self.reps)
-
-    def coset_ids(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.coset_of == i)
 
 
 def cosets(h: Subgroup) -> CosetDecomposition:

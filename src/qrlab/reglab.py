@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import defform, fourier, quasi
-from .errors import InadmissibleQ, NotSubset, ShapeMismatch, SideTooLarge
+from .errors import InadmissibleQ, NotSubset, ShapeMismatch
 from .ffield import FieldSpec, is_prime, make_field
 from .grp import (GroupTable, Subgroup, additive_group, cosets,
                   multiplicative_group, normal_subgroups_up_to_index, sl2)
@@ -134,42 +134,60 @@ def builtin_families() -> dict:
 
 @dataclass
 class SubgroupSearchOutcome:
-    """The winning subgroup H and the eps1 of its coset blocks.
+    """The winning subgroup H, the statistics of its coset blocks, and those
+    of the full graph.
 
-    per_coset[k] is eps1 of the block (H, x_k H) for x_k = cosets(H).reps[k].
-    Right multiplication by x_i^{-1} maps the block between cosets x_i H and
-    x_j H onto (H, x_j x_i^{-1} H), so that block has eps1
-    per_coset[coset_of[x_j·x_i^{-1}]].
+    per_coset[k] is the quasi.BlockStats of the block (H, x_k H) for x_k =
+    _coset_translates(H)[k], a member of coset k.  Right multiplication by
+    x_i^{-1} maps the block between cosets x_i H and x_j H onto (H, x_j
+    x_i^{-1} H), so that block has eps1 per_coset[coset_of[x_j·x_i^{-1}]].
+    full is the BlockStats of (G, e), the one block of the index-1
+    candidate, which every search has.
     """
 
     subgroup: Subgroup
     max_coset_eps1: Fraction
     index: int
-    per_coset: tuple = ()
+    per_coset: tuple
+    full: quasi.BlockStats
+
+
+def _coset_translates(h: Subgroup) -> np.ndarray:
+    """One member of each coset of h, in coset order: the smallest id,
+    except e for H itself, so that G's one block is the full graph."""
+    dec = cosets(h)
+    ts = dec.reps.copy()
+    ts[dec.coset_of[h.parent.identity]] = h.parent.identity
+    return ts
 
 
 def _coset_blocks(g: GroupTable, h: Subgroup, d: np.ndarray) -> list:
-    """The graphs (H, tH, v·w^{-1} in D) for t in cosets(h).reps: one block
-    per coset, which for normal H covers every coset pair up to relabelling
-    (see SubgroupSearchOutcome)."""
-    return [quasi.cayley_bipartite(g, d, h, int(t)) for t in cosets(h).reps]
+    """The graphs (H, tH, v·w^{-1} in D) for t in _coset_translates(h): one
+    block per coset, which for normal H covers every coset pair up to
+    relabelling (see SubgroupSearchOutcome)."""
+    return [quasi.cayley_bipartite(g, d, h, int(t)) for t in _coset_translates(h)]
 
 
 def subgroup_search(g: GroupTable, d: np.ndarray, max_index: int) -> SubgroupSearchOutcome:
     """Normal subgroup of index <= max_index minimizing the worst coset-pair
     4-cycle defect; ties break toward smaller index, then lexicographically
-    smaller member set."""
+    smaller member set.  The blocks of every candidate go through one
+    quasi.block_stats call."""
     d = np.asarray(d, dtype=bool)
-    best = None
-    for h in normal_subgroups_up_to_index(g, max_index):
-        per_coset = tuple(quasi.eps1_quasirandomness(bg)
-                          for bg in _coset_blocks(g, h, d))
-        worst = max(per_coset)
+    subs = normal_subgroups_up_to_index(g, max_index)
+    stats = quasi.block_stats(g, d, [(h, int(t)) for h in subs
+                                     for t in _coset_translates(h)])
+    best, start = None, 0
+    for h in subs:
+        per_coset = tuple(stats[start:start + h.index])
+        start += h.index
+        worst = max(st.eps1 for st in per_coset)
         # candidates arrive sorted by (index, members), so strict improvement
-        # only
+        # only; the first is G
         if best is None or worst < best.max_coset_eps1:
             best = SubgroupSearchOutcome(subgroup=h, max_coset_eps1=worst,
-                                         index=h.index, per_coset=per_coset)
+                                         index=h.index, per_coset=per_coset,
+                                         full=stats[0])
     return best
 
 
@@ -186,8 +204,9 @@ def _ols_slope(xs, ys):
     return slope, float(ym - slope * xm)
 
 
-def _translate_fourier_eps(g: GroupTable, d: np.ndarray, h: Subgroup) -> float:
-    """max over translate classes of the subset parameter of Dt ∩ H inside H.
+def _translate_fourier_eps(per_coset: tuple) -> float:
+    """max over translate classes of the subset parameter of Dt ∩ H inside
+    H, from the BlockStats of H's coset blocks.
 
     The coset block (H, tH) is the Cayley graph on H of Dt ∩ H, so its eps3
     is that subset parameter.  One representative t per coset suffices: for
@@ -195,7 +214,7 @@ def _translate_fourier_eps(g: GroupTable, d: np.ndarray, h: Subgroup) -> float:
     translation multiplies every Fourier coefficient by the unitary rho(h),
     leaving its operator norm unchanged.  No normality is needed.
     """
-    return max(quasi.eps3_spectral(bg)[0] for bg in _coset_blocks(g, h, d))
+    return max(st.eps3 for st in per_coset)
 
 
 @dataclass
@@ -247,23 +266,20 @@ class SweepResult:
 
 
 def analyse(g: GroupTable, d: np.ndarray, max_index: int) -> dict:
-    """The statistics of (G, D), each computed once: the subgroup search
-    ("outcome", "h_index", "max_coset_eps1"), the full graph ("graph") with
-    its "delta", "eps1", "eps3" and "eps3_err", and the translate Fourier
-    eps ("fourier_eps")."""
+    """The statistics of (G, D), all from one subgroup search ("outcome",
+    "h_index", "max_coset_eps1"): the full graph's "delta", "eps1", "eps3"
+    and "eps3_err", read from the index-1 candidate, and the translate
+    Fourier eps ("fourier_eps") of the winner's blocks."""
+    d = np.asarray(d, dtype=bool)
     outcome = subgroup_search(g, d, max_index)
-    full = quasi.cayley_bipartite(g, d)
-    e3, e3_err = quasi.eps3_spectral(full)
-    if outcome.index == 1:
-        # H = G: the one coset block is the full graph, and the one
-        # translate class has the subset parameter of D itself, eps3
-        e1, fe = outcome.per_coset[0], e3
-    else:
-        e1 = quasi.eps1_quasirandomness(full)
-        fe = _translate_fourier_eps(g, d, outcome.subgroup)
-    return {"graph": full, "delta": full.delta, "eps1": e1, "eps3": e3,
-            "eps3_err": e3_err, "fourier_eps": fe, "h_index": outcome.index,
-            "max_coset_eps1": outcome.max_coset_eps1, "outcome": outcome}
+    full = outcome.full
+    # H = G: the one translate class is D itself, whose subset parameter is
+    # the full graph's eps3
+    fe = full.eps3 if outcome.index == 1 else _translate_fourier_eps(outcome.per_coset)
+    return {"delta": Fraction(int(d.sum()), g.order), "eps1": full.eps1,
+            "eps3": full.eps3, "eps3_err": full.eps3_err, "fourier_eps": fe,
+            "h_index": outcome.index, "max_coset_eps1": outcome.max_coset_eps1,
+            "outcome": outcome}
 
 
 def sweep(family: Family, qs, max_index: int = 1, seed: int = 0) -> SweepResult:
@@ -400,19 +416,18 @@ def weak_regularity_audit(family: Family, q: int, max_index: int = 1) -> dict:
 
     "per_coset"[k] is the block (H, x_k H) of the winning subgroup, under
     the law of SubgroupSearchOutcome.  Uses the exact cut-norm defect when
-    the coset is small enough and the eps1^{1/4} upper bound otherwise.
+    the coset is small enough and the search's eps1^{1/4} upper bound
+    otherwise.
     """
     g, d, f = family.instantiate(q)
     outcome = subgroup_search(g, d, max_index)
-    per_coset = []
-    for bg in _coset_blocks(g, outcome.subgroup, d):
-        try:
-            val = float(quasi.eps2_exact(bg))
-            exact = True
-        except SideTooLarge:
-            val = float(quasi.eps1_quasirandomness(bg)) ** 0.25
-            exact = False
-        per_coset.append({"defect": val, "exact": exact})
+    h = outcome.subgroup
+    if h.size <= quasi.EPS2_SIDE_CAP:
+        per_coset = [{"defect": float(quasi.eps2_exact(bg)), "exact": True}
+                     for bg in _coset_blocks(g, h, d)]
+    else:
+        per_coset = [{"defect": float(st.eps1) ** 0.25, "exact": False}
+                     for st in outcome.per_coset]
     return {"q": q, "family": family.name, "h_index": outcome.index,
             "per_coset": per_coset, "q_quarter": q ** -0.25, "q_half": q ** -0.5,
             "max_defect": max(p["defect"] for p in per_coset)}

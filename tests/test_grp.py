@@ -70,6 +70,29 @@ def test_cyclic_group():
     assert g.mul(7, 8) == 3
 
 
+def test_digit_layouts_are_proven():
+    assert grp.additive_group(make_field(3, 4)).radix == (3, 3, 3, 3)
+    assert grp.additive_group(make_field(557)).radix == (557,)
+    assert grp.cyclic_group(12).radix == (12,)
+    assert grp.multiplicative_group(make_field(13)).radix == ()
+    assert grp.sl2(make_field(3)).radix == ()
+    # Z/6 with ids 1 and 2 swapped is a group, but its ids are not the digits
+    # of its law
+    n = 6
+    ids = np.arange(n)
+    perm = ids.copy()
+    perm[[1, 2]] = [2, 1]
+    table = perm[((ids[:, None] + ids[None, :]) % n)[np.ix_(perm, perm)]]
+    assert grp.make_group(table, 0).radix == ()
+    with pytest.raises(NotAGroup, match="digit 0"):
+        grp.make_group(table, 0, radix=(n,))
+    # (Z/2)^2 laid out as Z/4, and a layout that does not count the ids
+    with pytest.raises(NotAGroup, match="digit 0"):
+        grp.make_group(grp.additive_group(make_field(2, 2)).table, 0, radix=(4,))
+    with pytest.raises(NotAGroup, match="does not lay out"):
+        grp.make_group(grp.cyclic_group(6).table, 0, radix=(2, 2))
+
+
 def test_sl2_orders_match_formula():
     for q in (2, 3, 4, 5, 7):
         p, n = (q, 1) if q in (2, 3, 5, 7) else (2, 2)
@@ -188,12 +211,13 @@ def test_cosets_partition():
     h = grp.generated_subgroup(g, [np.flatnonzero(g.element_orders == 6)[0]])
     assert h.size == 6
     dec = grp.cosets(h)
-    assert dec.index == 2
-    seen = np.concatenate([dec.coset_ids(i) for i in range(dec.index)])
+    assert len(dec.reps) == 2
+    members = [np.flatnonzero(dec.coset_of == i) for i in range(len(dec.reps))]
+    seen = np.concatenate(members)
     assert sorted(seen.tolist()) == list(range(g.order))
     # representatives are the smallest member of each coset
-    for i in range(dec.index):
-        assert dec.reps[i] == dec.coset_ids(i).min()
+    for i, ids in enumerate(members):
+        assert dec.reps[i] == ids.min()
 
 
 def test_cosets_of_non_normal_subgroup():
@@ -206,7 +230,7 @@ def test_cosets_of_non_normal_subgroup():
     with pytest.raises(NotNormalWhenRequired):
         grp.quotient_group(h)
     dec = grp.cosets(h)  # left cosets still fine
-    assert dec.index == 8
+    assert len(dec.reps) == 8
 
 
 def test_subgroup_group_and_quotient():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from qrlab import grp, quasi, reglab
-from qrlab.errors import QrlabError, ShapeMismatch, SideTooLarge
+from qrlab.errors import (QrlabError, RoundingNotCertified, ShapeMismatch,
+                          SideTooLarge)
 from qrlab.ffield import make_field
 
 
@@ -294,3 +295,99 @@ def test_quasi_report_json():
     assert doc["delta"] == {"num": 2, "den": 5}
     assert set(doc["eps3"]) == {"value", "error"}
     assert isinstance(doc["relations"], dict)
+
+
+# -- the FFT block route against the dense kernels ------------------------------
+
+def assert_fft_route_matches_dense(g, d, blocks, name):
+    """block_stats on a group with a digit layout against cayley_bipartite +
+    eps1_quasirandomness + eps3_spectral on the same blocks: eps1 equal,
+    eps3 within the sum of the two certified errors."""
+    assert g.radix, name
+    stats = quasi.block_stats(g, d, blocks)
+    assert len(stats) == len(blocks), name
+    for (h, t), st in zip(blocks, stats):
+        bg = quasi.cayley_bipartite(g, d, h, t)
+        e3, err = quasi.eps3_spectral(bg)
+        assert st.eps1 == quasi.eps1_quasirandomness(bg), (name, t)
+        assert abs(st.eps3 - e3) <= st.eps3_err + err, (name, t, st.eps3, e3)
+
+
+def dense_twin(g):
+    """g's table without its digit layout, so every kernel runs densely."""
+    return grp.make_group(g.table, g.identity, label=g.label, field_spec=g.field)
+
+
+def candidate_blocks(g, max_index):
+    return [(h, int(t)) for h in grp.normal_subgroups_up_to_index(g, max_index)
+            for t in grp.cosets(h).reps]
+
+
+def test_fft_route_matches_dense_on_small_groups():
+    # the groups of the lemma24 suite: Z/n for n <= 32, (F_q, +) for q <= 64
+    rng = np.random.default_rng(24)
+    groups = [grp.cyclic_group(n) for n in range(2, 33)]
+    for q in range(2, 65):
+        try:
+            p, n = reglab.factor_prime_power(q)
+        except QrlabError:
+            continue
+        groups.append(grp.additive_group(make_field(p, n)))
+    for g in groups:
+        for _ in range(2):
+            d = rng.random(g.order) < rng.random()
+            t = int(rng.integers(g.order))
+            blocks = [(None, None), (None, t)] + candidate_blocks(g, 3)
+            assert_fft_route_matches_dense(g, d, blocks, str(g))
+
+
+@pytest.mark.parametrize("p, n, max_index", [(2, 7, 2), (3, 4, 3), (5, 3, 5)])
+def test_fft_route_matches_dense_on_every_candidate_block(p, n, max_index):
+    g, family_d, _ = reglab.builtin_families()["artin_schreier"].instantiate(p ** n)
+    rng = np.random.default_rng(p ** n)
+    twin = dense_twin(g)
+    for d in (family_d, rng.random(g.order) < 0.4):
+        assert_fft_route_matches_dense(g, d, candidate_blocks(g, max_index), (p, n))
+        fast = reglab.subgroup_search(g, d, max_index)
+        dense = reglab.subgroup_search(twin, d, max_index)
+        assert np.array_equal(fast.subgroup.members, dense.subgroup.members)
+        assert (fast.index, fast.max_coset_eps1) == (dense.index, dense.max_coset_eps1)
+        assert [st.eps1 for st in fast.per_coset] == [st.eps1 for st in dense.per_coset]
+        assert fast.full.eps1 == dense.full.eps1
+
+
+@pytest.mark.parametrize("q", [13, 521, 557])
+def test_fft_route_matches_dense_on_paley(q):
+    g, d, _ = reglab.builtin_families()["paley"].instantiate(q)
+    fast, dense = reglab.analyse(g, d, 1), reglab.analyse(dense_twin(g), d, 1)
+    for key in ("delta", "eps1", "h_index", "max_coset_eps1"):
+        assert fast[key] == dense[key], key
+    assert abs(fast["eps3"] - dense["eps3"]) <= fast["eps3_err"] + dense["eps3_err"]
+    assert fast["fourier_eps"] == fast["eps3"]
+
+
+def test_fft_route_batches_agree(monkeypatch):
+    g, d, _ = reglab.builtin_families()["artin_schreier"].instantiate(81)
+    d = d ^ (np.arange(81) % 7 == 0)
+    blocks = candidate_blocks(g, 3)
+    whole = quasi.block_stats(g, d, blocks)
+    monkeypatch.setattr(quasi, "FFT_BATCH_CELLS", 5 * 81)
+    assert quasi.block_stats(g, d, blocks) == whole
+
+
+def test_fft_route_refuses_an_uncertified_rounding(monkeypatch):
+    g, d, _ = paley_graph(13)
+    assert quasi.block_stats(g, d, [(None, None)])
+    # a rounding unit large enough that the bound on the autocorrelation
+    # reaches 1/2: the rounded integers are no longer proven
+    monkeypatch.setattr(quasi, "FFT_ROUNDING", 1e-3)
+    with pytest.raises(RoundingNotCertified):
+        quasi.block_stats(g, d, [(None, None)])
+
+
+def test_fft_route_rejects_a_foreign_subgroup():
+    g, d, _ = paley_graph(13)
+    other = grp.additive_group(make_field(13))
+    h = grp.Subgroup(parent=other, members=np.ones(13, dtype=bool))
+    with pytest.raises(QrlabError, match="not a subgroup"):
+        quasi.block_stats(g, d, [(h, 0)])

@@ -130,16 +130,36 @@ def counted(monkeypatch, module, names):
 
 def test_one_block_per_coset(monkeypatch):
     # (Z/3)^4 has 40 subgroups of index 3 besides G itself: 1 + 40·3 blocks
-    # (one per coset), not 1 + 40·9 (one per coset pair)
+    # (one per coset), not 1 + 40·9 (one per coset pair), in one call that
+    # builds no graph on a group with a digit layout
     fam = reglab.builtin_families()["artin_schreier"]
     g, d, _ = fam.instantiate(81)
-    calls = counted(monkeypatch, quasi, ["cayley_bipartite", "eps1_quasirandomness"])
+    batches = []
+    block_stats = quasi.block_stats
+
+    def recorded(g, d, blocks):
+        batches.append(len(blocks))
+        return block_stats(g, d, blocks)
+    monkeypatch.setattr(quasi, "block_stats", recorded)
+    calls = counted(monkeypatch, quasi, ["cayley_bipartite", "eps1_quasirandomness",
+                                         "eps3_spectral"])
     reglab.subgroup_search(g, d, 3)
-    assert calls == {"cayley_bipartite": 121, "eps1_quasirandomness": 121}
-    # GF(27): 1 + 13·3 blocks in the search, then 3 for the winner's eps2
+    assert batches == [121]
+    assert calls == {"cayley_bipartite": 0, "eps1_quasirandomness": 0, "eps3_spectral": 0}
+    # GF(27): 1 + 13·3 blocks in the search, then 3 graphs for the winner's eps2
+    batches.clear()
     calls = counted(monkeypatch, quasi, ["cayley_bipartite"])
     reglab.weak_regularity_audit(fam, 27, 3)
-    assert calls == {"cayley_bipartite": 43}
+    assert batches == [40] and calls == {"cayley_bipartite": 3}
+    # F_13^* has no digit layout: each of its 1 + 2 + 3 + 4 blocks is built
+    # and goes through the dense kernels
+    batches.clear()
+    g, d, _ = reglab.builtin_families()["mult_cubes"].instantiate(13)
+    calls = counted(monkeypatch, quasi, ["cayley_bipartite", "eps1_quasirandomness",
+                                         "eps3_spectral"])
+    reglab.subgroup_search(g, d, 4)
+    assert batches == [10]
+    assert calls == {"cayley_bipartite": 10, "eps1_quasirandomness": 10, "eps3_spectral": 10}
 
 
 def test_subgroup_search_monotone_in_max_index():
@@ -254,11 +274,13 @@ def test_verify_suites_pass():
 
 # -- translate invariance of the coset Fourier parameter -------------------------
 
-def translate_eps(g, d, h, t) -> float:
-    """Subset parameter of Dt ∩ H inside H, by the spectral route."""
+def translate_eps(g, d, h, t):
+    """Subset parameter of Dt ∩ H inside H, by the spectral route, with its
+    certified error."""
     dt = np.zeros(g.order, dtype=bool)
     dt[g.table[np.flatnonzero(d), t]] = True
-    return fourier.subset_qr_spectral(grp.subgroup_group(h), dt[h.element_ids()]).eps
+    sq = fourier.subset_qr_spectral(grp.subgroup_group(h), dt[h.element_ids()])
+    return sq.eps, sq.err
 
 
 def translate_cases():
@@ -310,20 +332,21 @@ def test_coset_blocks_follow_the_block_law():
     for name, g, d, h in cases:
         dec = grp.cosets(h)
         blocks = reglab._coset_blocks(g, h, d)
-        assert len(blocks) == dec.index, name
+        assert len(blocks) == len(dec.reps), name
         e1 = [quasi.eps1_quasirandomness(bg) for bg in blocks]
         small = h.size <= quasi.EPS2_SIDE_CAP
         e2 = [quasi.eps2_exact(bg) for bg in blocks] if small else None
         hg, elems = grp.subgroup_group(h), h.element_ids()
-        for k, x in enumerate(dec.reps):
+        for k, x in enumerate(reglab._coset_translates(h)):
+            assert dec.coset_of[x] == k, (name, k)
             dx = np.zeros(g.order, dtype=bool)
             dx[g.table[np.flatnonzero(d), x]] = True
             ref = quasi.cayley_bipartite(hg, dx[elems])
             assert np.array_equal(blocks[k].adj, ref.adj), (name, k)
         for i, xi in enumerate(dec.reps):
-            vi = dec.coset_ids(i)
+            vi = np.flatnonzero(dec.coset_of == i)
             for j, xj in enumerate(dec.reps):
-                wj = dec.coset_ids(j)
+                wj = np.flatnonzero(dec.coset_of == j)
                 dense = quasi.BipartiteGraph(
                     len(vi), len(wj), d[g.table[vi[None, :], g.inv[wj][:, None]]])
                 k = int(dec.coset_of[g.table[xj, g.inv[xi]]])
@@ -332,7 +355,7 @@ def test_coset_blocks_follow_the_block_law():
                     assert quasi.eps2_exact(dense) == e2[k], (name, i, j)
         out = reglab.subgroup_search(g, d, h.index)
         if out.subgroup == h:
-            assert out.per_coset == tuple(e1), name
+            assert tuple(st.eps1 for st in out.per_coset) == tuple(e1), name
 
 
 def test_translate_fourier_eps_needs_one_translate_per_coset():
@@ -346,8 +369,11 @@ def test_translate_fourier_eps_needs_one_translate_per_coset():
         for x in dec.reps:
             base = translate_eps(g, d, h, x)
             for y in h.element_ids():
-                eps = translate_eps(g, d, h, g.table[x, y])
-                assert abs(eps - base) <= 1e-12, (name, int(x), int(y))
+                eps, _ = translate_eps(g, d, h, g.table[x, y])
+                assert abs(eps - base[0]) <= 1e-12, (name, int(x), int(y))
             per_rep.append(base)
-        assert reglab._translate_fourier_eps(g, d, h) == max(per_rep), name
+        stats = quasi.block_stats(g, d, [(h, int(t)) for t in reglab._coset_translates(h)])
+        want = max(eps for eps, _ in per_rep)
+        err = max(st.eps3_err for st in stats) + max(e for _, e in per_rep)
+        assert abs(reglab._translate_fourier_eps(stats) - want) <= err, name
     assert seen == {True, False}
