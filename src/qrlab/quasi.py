@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -151,12 +151,33 @@ def eps3_spectral(bg: BipartiteGraph):
 
 # -- coset blocks: eps1 and eps3 together -------------------------------------
 
-class BlockStats(NamedTuple):
-    """eps1, eps3 and the certified error of eps3 of one coset block."""
+class BlockStats:
+    """eps1, eps3 and the certified error of eps3 of one coset block.
 
-    eps1: Fraction
-    eps3: float
-    eps3_err: float
+    The dense route keeps the block's graph and runs eps3_spectral (an
+    eigh) on it only when eps3 is first read: a subgroup search reads eps3
+    for the winner's blocks and (G, e) alone.
+    """
+
+    def __init__(self, eps1: Fraction, eps3: Optional[tuple] = None,
+                 graph: Optional[BipartiteGraph] = None):
+        self.eps1, self._eps3, self._graph = eps1, eps3, graph
+
+    def _spectral(self) -> tuple:
+        if self._eps3 is None:
+            self._eps3, self._graph = eps3_spectral(self._graph), None
+        return self._eps3
+
+    @property
+    def eps3(self) -> float:
+        return self._spectral()[0]
+
+    @property
+    def eps3_err(self) -> float:
+        return self._spectral()[1]
+
+    def __eq__(self, other) -> bool:
+        return (self.eps1, self._spectral()) == (other.eps1, other._spectral())
 
 
 def block_stats(g: GroupTable, d: np.ndarray, blocks: list) -> list:
@@ -165,12 +186,12 @@ def block_stats(g: GroupTable, d: np.ndarray, blocks: list) -> list:
 
     On a group with a digit layout (GroupTable.radix) they come from batched
     transforms over G, with no graph built (see _fft_block_stats); elsewhere
-    each block is built and goes through eps1_quasirandomness and
-    eps3_spectral.
+    each block is built and goes through eps1_quasirandomness, and through
+    eps3_spectral when its eps3 is read.
     """
     d = np.asarray(d, dtype=bool)
     if not g.radix:
-        return [BlockStats(eps1_quasirandomness(bg), *eps3_spectral(bg))
+        return [BlockStats(eps1_quasirandomness(bg), graph=bg)
                 for bg in (cayley_bipartite(g, d, h, t) for h, t in blocks)]
     step = max(1, FFT_BATCH_CELLS // g.order)
     return [st for i in range(0, len(blocks), step)
@@ -213,8 +234,8 @@ def _fft_block_stats(g: GroupTable, d: np.ndarray, blocks: list) -> list:
     modulus up to 2r, over the ⌈log2 4r⌉ passes of a transform of length
     below 4r).  For 0/1 x, Σ|Ŝ|² = N|S| carries that
     through the squaring and the inverse transform to the bound on r.  A
-    bound of 1/2 or more, or an r breaking r(0) = |S| or Σ r = |S|²,
-    raises RoundingNotCertified.
+    bound of 1/2 or more, or an r breaking r(0) = |S|, Σ r = |S|² or
+    |H| Σ r² >= |S|⁴ (Cauchy-Schwarz on H), raises RoundingNotCertified.
     """
     n, radix = g.order, g.radix
     subs = list({id(h): h for h, _ in blocks}.values())
@@ -246,9 +267,12 @@ def _fft_block_stats(g: GroupTable, d: np.ndarray, blocks: list) -> list:
     out = []
     for k, r2 in enumerate((r * r).sum(axis=1).tolist()):
         hs, sz = int(hsize[k]), int(size[k])
-        # C4/|H|^4 - (|S|/|H|)^4 over the common denominator |H|^4
-        e1 = Fraction(max(hs * r2 - sz ** 4, 0), hs ** 4)
-        out.append(BlockStats(e1, float(eps3[k]), float(eps3_err[k])))
+        # C4/|H|^4 - (|S|/|H|)^4 over the common denominator |H|^4, which
+        # Cauchy-Schwarz keeps >= 0 for any r supported on H with Σ r = |S|²
+        num = hs * r2 - sz ** 4
+        if num < 0:
+            raise RoundingNotCertified("FFT autocorrelation breaks |H| Σ r² >= |S|⁴")
+        out.append(BlockStats(Fraction(num, hs ** 4), (float(eps3[k]), float(eps3_err[k]))))
     return out
 
 
