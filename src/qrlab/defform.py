@@ -427,7 +427,7 @@ def _eval_formula(node, fops, env, ndims):
     raise TypeError(f"not a formula node: {node!r}")
 
 
-def evaluate(f: Formula, field_spec: FieldSpec, params=None, cell_cap: int = CELL_CAP) -> DefinableSet:
+def evaluate(f: Formula, field_spec: FieldSpec, params=None) -> DefinableSet:
     """Exact solution set of f over field_spec^arity by exhaustive search."""
     params = dict(params or {})
     missing = [v for v in f.param_vars if v not in params]
@@ -436,9 +436,9 @@ def evaluate(f: Formula, field_spec: FieldSpec, params=None, cell_cap: int = CEL
     q = field_spec.q
     arity = len(f.free_vars)
     depth = _max_depth(f.ast)
-    if q ** (arity + depth) > cell_cap:
+    if q ** (arity + depth) > CELL_CAP:
         raise ArityTooLarge(
-            f"q^(arity+depth) = {q}^{arity + depth} exceeds the cell cap {cell_cap}")
+            f"q^(arity+depth) = {q}^{arity + depth} exceeds the cell cap {CELL_CAP}")
     fops = ops(field_spec)
     env = {}
     for i, v in enumerate(f.free_vars):

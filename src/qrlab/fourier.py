@@ -2,42 +2,40 @@
 
 A subset D of a finite group H is eps-quasirandom when every nontrivial
 irreducible Fourier coefficient of its indicator, normalized by |H|, has
-operator norm at most eps.  The primary computation route is spectral: that
-maximum equals sigma_max(M P)/|H| for the adjacency matrix M of the Cayley
-graph (H, H, x y^{-1} in D) and P the mean-zero projection, so one singular
-value suffices for any group.  Abelian groups additionally get the explicit
-character-sum route, and irreducible degrees are extracted from the class
-algebra for the degree-based quasirandomness bounds.
+operator norm at most eps.  That maximum is the eps3 of the Cayley graph
+(H, H, x y^{-1} in D), so subset_qr_spectral and verify_cor25 read it, and
+the graph's eps1, from quasi.block_stats, which picks the kernel: a batched
+FFT on groups with a digit layout, the dense eigh and Gram elsewhere.
+Abelian groups additionally get the explicit character-sum route, and
+irreducible degrees are extracted from the class algebra for the
+degree-based quasirandomness bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from .errors import DegeneracyNotResolved, NotAGroup, OrderCap
 from .grp import (GroupTable, character_phases, conjugacy_classes, per_group,
                   readonly)
-from .quasi import (FLOAT_SLACK, cayley_bipartite, eps1_quasirandomness,
-                    eps3_spectral)
+from .quasi import FLOAT_SLACK, block_stats
+# unused here; perfbench/spans.py patches them on fourier
+from .quasi import cayley_bipartite, eps1_quasirandomness, eps3_spectral
 
 IRREP_CAP = 512
-COR25_CAP = 1024
 CHAR_TOL = 1e-9
 
 
 @dataclass
 class SubsetQR:
-    """Quasirandomness parameter of a subset of a group."""
+    """Quasirandomness parameter of a subset of a group, with its certified
+    error."""
 
-    group: GroupTable
-    subset: np.ndarray  # bool mask over group ids
     eps: float
     err: float
-    method: str  # "spectral" or "abelian_characters"
 
 
 @dataclass
@@ -65,11 +63,9 @@ def subset_qr_spectral(g: GroupTable, d: np.ndarray, seed: int = 0) -> SubsetQR:
     indicator of D, for any finite group.  eps3 is deterministic, so
     ``seed`` is accepted but not read.
     """
-    d = np.asarray(d, dtype=bool)
-    bg = cayley_bipartite(g, d)
     # eps3 = sigma/sqrt(|H|^2) = sigma/|H|, exactly the subset parameter
-    eps, err = eps3_spectral(bg)
-    return SubsetQR(group=g, subset=d, eps=eps, err=err, method="spectral")
+    st = block_stats(g, d, [(None, None)])[0]
+    return SubsetQR(eps=st.eps3, err=st.eps3_err)
 
 
 @per_group
@@ -100,8 +96,7 @@ def subset_qr_characters(g: GroupTable, d: np.ndarray) -> SubsetQR:
     sums[cd.trivial_index] = 0.0
     eps = float(np.abs(sums).max() / g.order)
     err = float(len(np.flatnonzero(d)) * 8e-16)
-    return SubsetQR(group=g, subset=d, eps=eps, err=err,
-                    method="abelian_characters")
+    return SubsetQR(eps=eps, err=err)
 
 
 @per_group
@@ -201,12 +196,9 @@ def verify_cor25(g: GroupTable, d: np.ndarray) -> Cor25Record:
     of the Cayley graph (H, H, x y^{-1} in D); float comparisons inflate by
     the certified error plus a fixed 1e-8 slack.
     """
-    if g.order > COR25_CAP:
-        raise OrderCap(f"group order {g.order} exceeds {COR25_CAP}")
-    d = np.asarray(d, dtype=bool)
-    sq = subset_qr_spectral(g, d)
-    e1 = eps1_quasirandomness(cayley_bipartite(g, d))
-    ok1 = (sq.eps - sq.err) <= float(e1) ** 0.25 + FLOAT_SLACK
-    ok2 = float(e1) <= (sq.eps + sq.err) ** 2 + FLOAT_SLACK
-    return Cor25Record(eps=sq.eps, eps_err=sq.err, eps1=e1,
+    st = block_stats(g, d, [(None, None)])[0]
+    eps, err, e1 = st.eps3, st.eps3_err, st.eps1
+    ok1 = (eps - err) <= float(e1) ** 0.25 + FLOAT_SLACK
+    ok2 = float(e1) <= (eps + err) ** 2 + FLOAT_SLACK
+    return Cor25Record(eps=eps, eps_err=err, eps1=e1,
                        subset_le_graph_quarter=ok1, graph_le_subset_sq=ok2)

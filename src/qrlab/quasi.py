@@ -86,10 +86,11 @@ def eps1_quasirandomness(bg: BipartiteGraph) -> Fraction:
 
 # -- eps2: exact weak-regularity defect ---------------------------------------
 
-def _eps2_scaled_max(m: np.ndarray, block: int = 1 << 15) -> int:
+def _eps2_scaled_max(m: np.ndarray) -> int:
     """max over subsets A of columns of max(sum of positive row discrepancies,
     -sum of negative ones), where discrepancy of row w is
     V·W·e_w(A) - E·|A|; returned unscaled (divide by (VW)^2 for the defect)."""
+    block = 1 << 15  # subsets per batch
     w_size, v_size = m.shape
     e_total = int(m.sum())
     vw = v_size * w_size
@@ -154,18 +155,32 @@ def eps3_spectral(bg: BipartiteGraph):
 class BlockStats:
     """eps1, eps3 and the certified error of eps3 of one coset block.
 
-    The dense route keeps the block's graph and runs eps3_spectral (an
-    eigh) on it only when eps3 is first read: a subgroup search reads eps3
-    for the winner's blocks and (G, e) alone.
+    The dense route keeps the block's graph and runs eps1_quasirandomness (a
+    Gram) and eps3_spectral (an eigh) on it only when each is first read,
+    dropping the graph once both have run: a subgroup search reads eps1 of
+    every block and eps3 of the winner's blocks and (G, e) alone, and the
+    subset parameter reads eps3 alone.
     """
 
-    def __init__(self, eps1: Fraction, eps3: Optional[tuple] = None,
+    def __init__(self, eps1: Optional[Fraction] = None, eps3: Optional[tuple] = None,
                  graph: Optional[BipartiteGraph] = None):
-        self.eps1, self._eps3, self._graph = eps1, eps3, graph
+        self._eps1, self._eps3, self._graph = eps1, eps3, graph
+
+    def _release(self):
+        if self._eps1 is not None and self._eps3 is not None:
+            self._graph = None
+
+    @property
+    def eps1(self) -> Fraction:
+        if self._eps1 is None:
+            self._eps1 = eps1_quasirandomness(self._graph)
+            self._release()
+        return self._eps1
 
     def _spectral(self) -> tuple:
         if self._eps3 is None:
-            self._eps3, self._graph = eps3_spectral(self._graph), None
+            self._eps3 = eps3_spectral(self._graph)
+            self._release()
         return self._eps3
 
     @property
@@ -186,13 +201,13 @@ def block_stats(g: GroupTable, d: np.ndarray, blocks: list) -> list:
 
     On a group with a digit layout (GroupTable.radix) they come from batched
     transforms over G, with no graph built (see _fft_block_stats); elsewhere
-    each block is built and goes through eps1_quasirandomness, and through
-    eps3_spectral when its eps3 is read.
+    each block is built and goes through eps1_quasirandomness when its eps1
+    is read and through eps3_spectral when its eps3 is read.  This is the
+    one place that picks the kernel for a Cayley graph's statistics.
     """
     d = np.asarray(d, dtype=bool)
     if not g.radix:
-        return [BlockStats(eps1_quasirandomness(bg), graph=bg)
-                for bg in (cayley_bipartite(g, d, h, t) for h, t in blocks)]
+        return [BlockStats(graph=cayley_bipartite(g, d, h, t)) for h, t in blocks]
     step = max(1, FFT_BATCH_CELLS // g.order)
     return [st for i in range(0, len(blocks), step)
             for st in _fft_block_stats(g, d, blocks[i:i + step])]
@@ -249,7 +264,12 @@ def _fft_block_stats(g: GroupTable, d: np.ndarray, blocks: list) -> list:
     amp = np.abs(_dft(s, radix))
     r = _dft(amp * amp, radix, inverse=True).real
     sub_size = hmask.sum(axis=1)
-    perp = (np.abs(_dft(hmask, radix)) > sub_size[:, None] / 2)[which]
+    perp = np.zeros(hmask.shape, dtype=bool)
+    perp[:, 0] = True  # 1_G transforms to |G| at the trivial character alone
+    proper = sub_size < n
+    if proper.any():
+        perp[proper] = np.abs(_dft(hmask[proper], radix)) > sub_size[proper, None] / 2
+    perp = perp[which]
 
     size, hsize = s.sum(axis=1), sub_size[which]
     rel = FFT_ROUNDING * sum(2 * k * math.ceil(math.log2(4 * k)) for k in radix)

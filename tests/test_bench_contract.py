@@ -5,8 +5,8 @@ and its tracer patches module attributes by name, raising on any name that
 is missing or rebound.  This sends one small call of each kind through every
 workload's ``run`` and ``check`` with the tracer installed and recording,
 each case under its own item id, and pins the work traced for the paley
-sweep.  It runs in a subprocess so the patched attributes do not leak into
-other tests.
+sweep and for one abelian subset of the small batch.  It runs in a
+subprocess so the patched attributes do not leak into other tests.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ cases = [(paley, Call("sweep", (13, 1))), (search, Call("search", (2, 3, 2)))]
 first = {}
 for call in batch.make_pass(0):
     first.setdefault(call.kind, call)
-cases += [(batch, first[kind]) for kind in ("gowers", "abelian", "sl2", "irreps")]
+kinds = ("gowers", "abelian", "sl2", "irreps")
+cases += [(batch, first[kind]) for kind in kinds]
 text, _, want = counting.DIM_MEASURE[0]
 cases.append((counting, Call("dim", (text, [101, 103, 107, 109, 113], want))))
 
@@ -46,10 +47,12 @@ for i, (workload, call) in enumerate(cases):
     err = workload.check(call, workload.run(call))
     if err:
         failures.append(f"{workload.name} {call.kind}: {err}")
-paley_calls = {name: stats["calls"] for name, stats in tracer.summarize({0}).items()}
+items = {"paley": 0, "abelian": 2 + kinds.index("abelian")}
+item_calls = {key: {name: stats["calls"] for name, stats in tracer.summarize({i}).items()}
+              for key, i in items.items()}
 print(json.dumps({"calls": len(cases), "failures": failures,
                   "traced": sorted(tracer.summarize()),
-                  "paley_calls": paley_calls}))
+                  "item_calls": item_calls}))
 """
 
 
@@ -68,8 +71,16 @@ def test_workloads_run_and_check_under_tracer():
     # the paley sweep at index 1: one search, whose one coset block is the
     # full graph; (F_q, +) has a digit layout, so its eps1 and eps3 come from
     # the batched transform, with no dense kernel called
-    paley = out["paley_calls"]
+    paley = out["item_calls"]["paley"]
     assert paley["reglab.subgroup_search"] == 1
     assert paley.get("quasi.eps3_spectral", 0) == 0
     assert paley.get("quasi.eps1_quasirandomness", 0) == 0
     assert paley.get("reglab.translate_fourier_eps", 0) == 0
+    # one abelian subset through both subset routes: quasi.block_stats sends
+    # Z/n and (F_q, +) through the transform, so no graph and no eigh
+    abelian = out["item_calls"]["abelian"]
+    assert abelian["fourier.subset_qr_spectral"] == 1
+    assert abelian["fourier.subset_qr_characters"] == 1
+    for name in ("quasi.cayley_bipartite", "quasi.eps1_quasirandomness",
+                 "quasi.eps3_spectral"):
+        assert abelian.get(name, 0) == 0, name

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from qrlab import fourier, grp, quasi
-from qrlab.errors import NotAbelian, NotAGroup, OrderCap
+from qrlab.errors import NotAbelian, NotAGroup, OrderCap, RoundingNotCertified
 from qrlab.ffield import make_field
 
 
@@ -74,9 +77,12 @@ def test_spectral_character_bridge():
               grp.additive_group(make_field(7))]:
         for _ in range(8):
             d = rng.random(g.order) < rng.random()
-            a = fourier.subset_qr_spectral(g, d).eps
-            b = fourier.subset_qr_characters(g, d).eps
-            assert abs(a - b) <= 1e-8
+            a = fourier.subset_qr_spectral(g, d)
+            b = fourier.subset_qr_characters(g, d)
+            # the transform route against the character sums and the dense eigh
+            eps3, err = quasi.eps3_spectral(quasi.cayley_bipartite(g, d))
+            assert abs(a.eps - b.eps) <= a.err + b.err
+            assert abs(a.eps - eps3) <= a.err + err
 
 
 def test_abelian_characters_checks(monkeypatch):
@@ -167,3 +173,76 @@ def test_verify_cor25_random_subsets():
     for _ in range(15):
         d = rng.random(16) < rng.random()
         assert fourier.verify_cor25(g, d).all_hold()
+
+
+# -- one kernel choice: quasi.block_stats -----------------------------------------
+
+def count_kernel_calls(monkeypatch):
+    """Counts the calls of block_stats and of the dense kernels, reached
+    through quasi or through the names fourier imports."""
+    calls = {name: 0 for name in ("block_stats", "cayley_bipartite",
+                                  "eps1_quasirandomness", "eps3_spectral")}
+    for name in calls:
+        def counted(*args, _fn=getattr(quasi, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for module in (quasi, fourier):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_digit_layout_groups_take_no_dense_kernel(monkeypatch):
+    rng = np.random.default_rng(19)
+    groups = [grp.cyclic_group(12), grp.additive_group(make_field(2, 4)),
+              grp.additive_group(make_field(13))]
+    calls = count_kernel_calls(monkeypatch)
+    for g in groups:
+        d = rng.random(g.order) < 0.5
+        fourier.subset_qr_spectral(g, d)
+        fourier.verify_cor25(g, d)
+    assert calls == {"block_stats": 6, "cayley_bipartite": 0,
+                     "eps1_quasirandomness": 0, "eps3_spectral": 0}
+
+
+def test_dense_groups_build_one_graph_per_call():
+    rng = np.random.default_rng(20)
+    for g in (grp.sl2(make_field(3)), grp.multiplicative_group(make_field(13))):
+        d = rng.random(g.order) < 0.5
+        bg = quasi.cayley_bipartite(g, d)
+        eps3, eps1 = quasi.eps3_spectral(bg), quasi.eps1_quasirandomness(bg)
+        with pytest.MonkeyPatch.context() as m:
+            calls = count_kernel_calls(m)
+            sq = fourier.subset_qr_spectral(g, d)
+        # the subset parameter reads eps3 alone: no Gram for eps1
+        assert calls == {"block_stats": 1, "cayley_bipartite": 1,
+                         "eps1_quasirandomness": 0, "eps3_spectral": 1}
+        assert (sq.eps, sq.err) == eps3
+        with pytest.MonkeyPatch.context() as m:
+            calls = count_kernel_calls(m)
+            rec = fourier.verify_cor25(g, d)
+        assert calls == {"block_stats": 1, "cayley_bipartite": 1,
+                         "eps1_quasirandomness": 1, "eps3_spectral": 1}
+        assert (rec.eps, rec.eps_err, rec.eps1) == (*eps3, eps1)
+
+
+def test_verify_cor25_paley_2003():
+    # above the dense routes' reach: (F_q, +) takes the transform
+    q = 2003
+    g = grp.additive_group(make_field(q))
+    d = np.zeros(q, dtype=bool)
+    d[np.arange(1, q) ** 2 % q] = True
+    rec = fourier.verify_cor25(g, d)
+    assert rec.all_hold()
+    # q = 3 mod 4: the Gauss sums (-1 ± i sqrt(q))/2 have modulus sqrt(q+1)/2
+    assert rec.eps1 == Fraction((q - 1) * (q + 1) ** 2, 16 * q ** 4)
+    assert abs(rec.eps - math.sqrt(q + 1) / (2 * q)) <= rec.eps_err
+    assert rec.eps_err < 1e-9
+
+
+def test_fourier_refuses_an_uncertified_rounding(monkeypatch):
+    g, d = qr13_subset()
+    monkeypatch.setattr(quasi, "FFT_ROUNDING", 1e-3)
+    with pytest.raises(RoundingNotCertified):
+        fourier.subset_qr_spectral(g, d)
+    with pytest.raises(RoundingNotCertified):
+        fourier.verify_cor25(g, d)

@@ -391,3 +391,24 @@ def test_fft_route_rejects_a_foreign_subgroup():
     h = grp.Subgroup(parent=other, members=np.ones(13, dtype=bool))
     with pytest.raises(QrlabError, match="not a subgroup"):
         quasi.block_stats(g, d, [(h, 0)])
+
+
+def test_dense_block_stats_run_each_kernel_once_on_first_read(monkeypatch):
+    g = grp.sl2(make_field(3))
+    d = np.random.default_rng(21).random(g.order) < 0.5
+    bg = quasi.cayley_bipartite(g, d)
+    eps1, eps3 = quasi.eps1_quasirandomness(bg), quasi.eps3_spectral(bg)
+    calls = []
+    for name in ("eps1_quasirandomness", "eps3_spectral"):
+        def counted(graph, _fn=getattr(quasi, name), _name=name):
+            calls.append(_name)
+            return _fn(graph)
+        monkeypatch.setattr(quasi, name, counted)
+    st, = quasi.block_stats(g, d, [(None, None)])
+    assert calls == []
+    assert (st.eps3, st.eps3_err) == eps3
+    assert st._graph is not None  # eps1 still unread
+    assert st.eps1 == eps1
+    assert st._graph is None
+    assert (st.eps1, st.eps3, st.eps3_err) == (eps1, *eps3)
+    assert calls == ["eps3_spectral", "eps1_quasirandomness"]

@@ -273,6 +273,18 @@ def test_verify_suites_pass():
         reglab.run_verify_suite("nope")
 
 
+def test_sl2_suite_takes_one_block_stats_call_per_subset(monkeypatch):
+    calls = {"block_stats": 0, "cayley_bipartite": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(quasi, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(quasi, name, counted)
+    assert reglab.run_verify_suite("sl2", seed=0).passed
+    # 100 subsets each of SL2(3) and SL2(5), one graph apiece
+    assert calls == {"block_stats": 200, "cayley_bipartite": 200}
+
+
 # -- translate invariance of the coset Fourier parameter -------------------------
 
 def translate_eps(g, d, h, t):
