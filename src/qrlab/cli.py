@@ -139,6 +139,8 @@ def sweep_cmd(family_name, qs, max_index, seed, csv_path, json_path):
         q_list = [int(x) for x in qs.split(",") if x.strip()]
     except ValueError:
         raise click.UsageError(f"bad --qs {qs!r}; expected comma-separated ints")
+    if not q_list:
+        raise click.UsageError(f"no field sizes in --qs {qs!r}")
     fam = reglab.builtin_families()[family_name]
     result = reglab.sweep(fam, q_list, max_index=max_index, seed=seed)
     if csv_path:

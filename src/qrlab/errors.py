@@ -61,10 +61,6 @@ class NotAbelian(QrlabError):
     pass
 
 
-class CosetMismatch(QrlabError):
-    pass
-
-
 class NotNormalWhenRequired(QrlabError):
     pass
 

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from . import ffield
-from .errors import (CosetMismatch, NotAbelian, NotAGroup,
-                     NotNormalWhenRequired, OrderCap, QrlabError)
+from .errors import (NotAbelian, NotAGroup, NotNormalWhenRequired, OrderCap,
+                     QrlabError)
 from .ffield import FieldSpec, ops
 
 SUBGROUP_LATTICE_CAP = 20000
@@ -250,12 +250,16 @@ def parse_group_literal(text: str, modulus=None) -> GroupTable:
 
 @dataclass
 class Subgroup:
-    """Verified subgroup, stored as a boolean membership mask over parent ids."""
+    """Verified subgroup, stored as a boolean membership mask over parent
+    ids, with its left cosets: reps holds the smallest id of each coset,
+    sorted, and coset_of maps each id to its coset number."""
 
     parent: GroupTable
     members: np.ndarray  # bool mask, length parent.order
     index: int = field(init=False)
     normal: bool = field(init=False)
+    reps: np.ndarray = field(init=False, repr=False)
+    coset_of: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.parent
@@ -267,13 +271,20 @@ class Subgroup:
             raise QrlabError("subgroup must contain the identity")
         if g.order % size != 0:
             raise QrlabError("subgroup size does not divide group order")
-        if not mask[g.table[np.ix_(elems, elems)]].all():
+        left = g.table[:, elems]  # row x = coset xH
+        if not mask[left[elems]].all():
             raise QrlabError("subgroup not closed under multiplication")
         if not mask[g.inv[elems]].all():
             raise QrlabError("subgroup not closed under inverse")
         self.index = g.order // size
-        conj = g.table[g.table[:, elems], g.inv[:, None]]  # (n, |H|): g h g^-1
-        self.normal = bool(mask[conj].all())
+        coset_min = left.min(axis=1)
+        self.reps = readonly(np.unique(coset_min))
+        if len(self.reps) != self.index:
+            raise NotAGroup(f"{len(self.reps)} left cosets, expected index {self.index}")
+        self.coset_of = readonly(np.searchsorted(self.reps, coset_min))
+        # x -> min(xH) and x -> min(Hx) name the left and the right cosets,
+        # so they agree iff xH = Hx for every x
+        self.normal = bool(np.array_equal(g.table[elems].min(axis=0), coset_min))
 
     @property
     def size(self) -> int:
@@ -292,30 +303,14 @@ class Subgroup:
 
 @dataclass
 class CosetDecomposition:
-    subgroup: Subgroup
     reps: np.ndarray      # smallest id in each coset, sorted
     coset_of: np.ndarray  # id -> coset number
 
 
 def cosets(h: Subgroup) -> CosetDecomposition:
-    """Left-coset partition gH with smallest-id representatives.
-
-    For normal subgroups the left and right partitions are checked equal.
-    """
-    g = h.parent
-    n = g.order
-    elems = h.element_ids()
-    left = g.table[:, elems]  # row x = coset xH
-    coset_min = left.min(axis=1)
-    reps = np.unique(coset_min)
-    coset_of = np.searchsorted(reps, coset_min)
-    if h.normal:
-        right = g.table[np.ix_(elems, np.arange(n))]  # column x = coset Hx
-        if not np.array_equal(right.min(axis=0), coset_min):
-            raise CosetMismatch("left and right cosets of a normal subgroup differ")
-    if len(reps) != h.index:
-        raise CosetMismatch(f"{len(reps)} left cosets, expected index {h.index}")
-    return CosetDecomposition(subgroup=h, reps=reps, coset_of=coset_of)
+    """Left-coset partition gH with smallest-id representatives, as the
+    Subgroup found it when it verified itself."""
+    return CosetDecomposition(reps=h.reps, coset_of=h.coset_of)
 
 
 def subgroup_group(h: Subgroup) -> GroupTable:
@@ -478,10 +473,10 @@ def _nonabelian_normal_subgroups(g: GroupTable, max_index: int) -> list:
     it contains, so the walk reaches the whole normal-subgroup lattice;
     small-index members are then filtered.
     """
-    atoms = [generated_subgroup(g, cls).members for cls in conjugacy_classes(g)]
     trivial = np.zeros(g.order, dtype=bool)
     trivial[g.identity] = True
-    join = lambda m, a: generated_subgroup(g, np.flatnonzero(m | a)).members
+    atoms = [_closure(g, trivial, cls) for cls in conjugacy_classes(g)]
+    join = lambda m, a: _closure(g, m, np.flatnonzero(a))
     return [Subgroup(parent=g, members=m) for m in _lattice_walk(trivial, atoms, join)
             if g.order // int(m.sum()) <= max_index]
 

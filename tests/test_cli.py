@@ -207,6 +207,15 @@ def test_bad_qs_exit_code(monkeypatch):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("qs", [",", ""])
+def test_empty_qs_exit_code(monkeypatch, capsys, qs):
+    monkeypatch.setattr("sys.argv", ["qr", "sweep", "--family", "paley", "--qs", qs])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("usage error: no field sizes in --qs")
+
+
 def test_inadmissible_q_exit_code(monkeypatch):
     monkeypatch.setattr("sys.argv", ["qr", "sweep", "--family", "paley",
                                      "--qs", "8"])

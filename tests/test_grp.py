@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from qrlab import fourier, grp
-from qrlab.errors import (CosetMismatch, NotAbelian, NotAGroup,
-                          NotNormalWhenRequired, OrderCap, QrlabError)
+from qrlab.errors import (NotAbelian, NotAGroup, NotNormalWhenRequired,
+                          OrderCap, QrlabError)
 from qrlab.ffield import make_field
 
 # Latin squares with identity 0 that are not associative, so not groups.
@@ -204,6 +204,10 @@ def test_subgroup_validation():
     open_mask[[1]] = True  # no identity
     with pytest.raises(QrlabError):
         grp.Subgroup(parent=g, members=open_mask)
+    unclosed = np.zeros(6, dtype=bool)
+    unclosed[[0, 1, 5]] = True  # has e and inverses, and 3 divides 6
+    with pytest.raises(QrlabError, match="not closed under multiplication"):
+        grp.Subgroup(parent=grp.cyclic_group(6), members=unclosed)
 
 
 def test_cosets_partition():
@@ -231,6 +235,59 @@ def test_cosets_of_non_normal_subgroup():
         grp.quotient_group(h)
     dec = grp.cosets(h)  # left cosets still fine
     assert len(dec.reps) == 8
+
+
+def normal_by_conjugation(h: grp.Subgroup) -> bool:
+    """Reference: x·y·x^-1 lies in H for every x in G and y in H."""
+    g, elems = h.parent, h.element_ids()
+    return bool(h.members[g.table[g.table[:, elems], g.inv[:, None]]].all())
+
+
+def cosets_by_gather(h: grp.Subgroup):
+    """Reference: the left cosets xH as sets, from the n x |H| gather, in
+    order of their smallest members; returns (reps, coset_of) as lists."""
+    g = h.parent
+    blocks = sorted({frozenset(row.tolist()) for row in g.table[:, h.element_ids()]},
+                    key=min)
+    coset_of = {x: i for i, block in enumerate(blocks) for x in block}
+    return [min(b) for b in blocks], [coset_of[x] for x in range(g.order)]
+
+
+def test_subgroup_normality_and_cosets_match_references():
+    rng = np.random.default_rng(0)
+    found = normal = 0
+    for g in [grp.sl2(make_field(2)), grp.sl2(make_field(3)), grp.sl2(make_field(5)),
+              grp.multiplicative_group(make_field(13)), grp.cyclic_group(12),
+              grp.additive_group(make_field(2, 3))]:
+        gens = [[x] for x in range(g.order)] + rng.integers(0, g.order, (400, 2)).tolist()
+        subs = {h.members.tobytes(): h for h in (grp.generated_subgroup(g, xs) for xs in gens)}
+        for h in subs.values():
+            assert h.normal == normal_by_conjugation(h), (g.label, h.element_ids())
+            reps, coset_of = cosets_by_gather(h)
+            dec = grp.cosets(h)
+            assert dec.reps.tolist() == reps, (g.label, h.element_ids())
+            assert dec.coset_of.tolist() == coset_of, (g.label, h.element_ids())
+            assert len(reps) == h.index
+        found += len(subs)
+        normal += sum(h.normal for h in subs.values())
+    # 121 subgroups, 37 of them normal: both answers are exercised
+    assert found > 100 and 30 < normal < found
+
+
+def test_enumeration_verifies_one_subgroup_per_result(monkeypatch):
+    groups = [grp.sl2(make_field(3)), grp.sl2(make_field(5)), grp.cyclic_group(12)]
+    built = []
+    verify = grp.Subgroup.__post_init__
+
+    def counting(self):
+        built.append(self)
+        verify(self)
+    monkeypatch.setattr(grp.Subgroup, "__post_init__", counting)
+    for g in groups:
+        for max_index in (1, 2, 3, g.order // 2, g.order):
+            built.clear()
+            subs = grp.normal_subgroups_up_to_index(g, max_index)
+            assert len(built) == len(subs), (g.label, g.order, max_index)
 
 
 def test_subgroup_group_and_quotient():
@@ -447,6 +504,11 @@ def test_per_group_data_is_read_only():
     s = grp.sl2(make_field(3))
     with pytest.raises(ValueError):
         grp.conjugacy_classes(s)[0][0] = 1
+    dec = grp.cosets(grp.generated_subgroup(s, [1]))
+    with pytest.raises(ValueError):
+        dec.reps[0] = 1
+    with pytest.raises(ValueError):
+        dec.coset_of[0] = 1
     classes, class_of, mats = fourier._class_constants(s)
     with pytest.raises(ValueError):
         class_of[0] = 1
@@ -485,14 +547,11 @@ def test_class_constants_reject_non_group():
 
 
 def test_cosets_reject_non_group():
-    g = unchecked_group(LOOP_CLASSES)
-    with pytest.raises(CosetMismatch, match="left cosets"):
-        grp.cosets(grp.generated_subgroup(g, [3]))
-    g = unchecked_group(LOOP_SIDES)
-    h = grp.generated_subgroup(g, [4])
-    assert h.normal
-    with pytest.raises(CosetMismatch, match="left and right"):
-        grp.cosets(h)
+    # closed sets of a loop that the left translates do not split into index cosets
+    for rows, x in [(LOOP_CLASSES, 3), (LOOP_SIDES, 4)]:
+        g = unchecked_group(rows)
+        with pytest.raises(NotAGroup, match="left cosets"):
+            grp.generated_subgroup(g, [x])
 
 
 def test_normal_subgroup_enumeration_rejects_non_group():

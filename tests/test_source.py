@@ -40,3 +40,20 @@ def test_every_module_constant_is_read():
                 read.add(node.attr)
     assert assigned, f"no module constants under {SRC}"
     assert sorted(loc for name, loc in assigned.items() if name not in read) == []
+
+
+def test_every_error_class_is_raised():
+    # a named error that nothing raises is a dead concept
+    errors = ast.parse((SRC / "errors.py").read_text())
+    declared = {node.name: node.lineno for node in errors.body
+                if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute)
+                           else getattr(exc, "id", None))
+    assert declared, f"no error classes in {SRC / 'errors.py'}"
+    assert sorted(f"errors.py:{line} {name}" for name, line in declared.items()
+                  if name not in raised) == []
