@@ -73,16 +73,6 @@ def eval_cmd(field_text, modulus, formula_text, params, as_json):
         click.echo("members: " + ",".join(map(str, np.flatnonzero(ds.membership))))
 
 
-def _connection_from_formula(g, spec, formula):
-    if g.label == "additive":
-        return reglab._additive_connection(g, spec, formula)
-    if g.label == "multiplicative":
-        return reglab._multiplicative_connection(g, spec, formula)
-    if g.label == "sl2":
-        return reglab._trace_connection(g, spec, formula)
-    raise click.UsageError(f"no connection-set rule for group label {g.label!r}")
-
-
 @cli.command("report")
 @click.option("--group", "group_text", required=True,
               help="Group literal: add:Q, mul:Q, or sl2:Q.")
@@ -98,7 +88,7 @@ def report_cmd(group_text, formula_text, subgroup_max_index, out_path):
     f = defform.parse(formula_text)
     if len(f.free_vars) != 1:
         raise click.UsageError("--set-formula must have exactly one free variable")
-    d = _connection_from_formula(g, spec, f)
+    d = reglab.connection_set(g, f)
     rec = reglab.analyse(g, d, subgroup_max_index)
     # the full graph, for eps2 and the biregularity check
     rep = quasi.gowers_report(quasi.cayley_bipartite(g, d), rec["eps1"],

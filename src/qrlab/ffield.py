@@ -291,19 +291,10 @@ class FieldOps:
         p, n = spec.p, spec.n
         self._weights = np.array([p ** (n - 1 - i) for i in range(n)], dtype=np.int64)
         # reduction rows: x^(n+j) mod modulus, j = 0 .. n-2, as digit vectors
-        red = []
-        cur = [(-c) % p for c in spec.modulus[:n]]  # x^n mod f
-        red.append(list(cur))
-        for _ in range(n - 2):
-            nxt = [0] + cur[:-1]
-            lead = cur[-1]
-            if lead:
-                for i in range(n):
-                    nxt[i] = (nxt[i] + lead * red[0][i]) % p
-            nxt = [c % p for c in nxt]
-            red.append(nxt)
-            cur = nxt
-        self._red = np.array(red, dtype=np.int64) if red else np.zeros((0, n), dtype=np.int64)
+        self._red = np.zeros((n - 1, n), dtype=np.int64)
+        for j in range(n - 1):
+            row = _poly_powmod([0, 1], n + j, spec.modulus, p)
+            self._red[j, :len(row)] = row
         self.zero_index = 0
         self.one_index = spec.index(spec.one())
         self._add_table = None

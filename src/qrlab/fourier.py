@@ -42,7 +42,8 @@ class SubsetQR:
 class CharacterData:
     """Full character table of an abelian group.
 
-    characters[i, x] is the value of character i at element x; exponent and
+    characters[i, x] is the value of character i at element x, and row 0 is
+    the trivial character, as in grp.character_phases; exponent and
     integer phases are kept so downstream code can stay exact when it wants.
     """
 
@@ -50,10 +51,6 @@ class CharacterData:
     characters: np.ndarray  # complex, (order, order)
     exponent: int
     phases: np.ndarray  # int, (order, order); value = exp(2 pi i phase/exponent)
-
-    @property
-    def trivial_index(self) -> int:
-        return int(np.flatnonzero((self.phases == 0).all(axis=1))[0])
 
 
 def subset_qr_spectral(g: GroupTable, d: np.ndarray, seed: int = 0) -> SubsetQR:
@@ -93,7 +90,7 @@ def subset_qr_characters(g: GroupTable, d: np.ndarray) -> SubsetQR:
     d = np.asarray(d, dtype=bool)
     sums = cd.characters[:, d].sum(axis=1) if d.any() \
         else np.zeros(g.order, dtype=complex)
-    sums[cd.trivial_index] = 0.0
+    sums[0] = 0.0  # the trivial character
     eps = float(np.abs(sums).max() / g.order)
     err = float(len(np.flatnonzero(d)) * 8e-16)
     return SubsetQR(eps=eps, err=err)
@@ -117,10 +114,7 @@ def _class_constants(g: GroupTable):
         m = np.zeros((k, k), dtype=np.float64)
         for j in range(k):
             prods = g.table[np.ix_(classes[i], classes[j])]
-            counts = np.bincount(class_of[prods.ravel()], minlength=k)
-            if (counts % sizes).any():
-                raise NotAGroup("class product counts are not divisible by class sizes")
-            m[:, j] = counts / sizes
+            m[:, j] = np.bincount(class_of[prods.ravel()], minlength=k) / sizes
         mats.append(readonly(m))
     return classes, readonly(class_of), tuple(mats)
 

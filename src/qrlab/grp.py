@@ -25,12 +25,15 @@ SUBGROUP_LATTICE_CAP = 20000
 
 @dataclass
 class GroupTable:
-    """Finite group on ids 0..order-1 backed by a dense multiplication table."""
+    """Finite group on ids 0..order-1 backed by a dense multiplication table.
 
-    order: int
+    Made only from a table it proves a group (see _verify_laws), and from a
+    digit layout `radix` it proves (see _verify_radix), so nothing derived
+    from it re-checks the group laws.
+    """
+
     table: np.ndarray  # (order, order) uint16, table[a, b] = a·b
     identity: int
-    inv: np.ndarray  # (order,) uint16
     label: str = "table"
     field: Optional[FieldSpec] = None
     # id x is the mixed-radix number of its digits, first digit most
@@ -38,10 +41,27 @@ class GroupTable:
     # () when the ids have no such layout
     radix: tuple = ()
     # `field` above shadows dataclasses.field from here on in the class body
+    order: int = dataclasses.field(init=False)
+    inv: np.ndarray = dataclasses.field(init=False, repr=False)  # (order,) uint16
+    # (order,): the field index each id maps to (the id on (F_q, +), id + 1
+    # on F_q^*, the trace on SL2); None without a field
+    field_ids: Optional[np.ndarray] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
     sl2_entries: Optional[np.ndarray] = dataclasses.field(  # (order, 4): a, b, c, d
         default=None, init=False, repr=False, compare=False)
     derived: dict = dataclasses.field(  # per_group results, keyed by function
         default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.table = np.ascontiguousarray(self.table, dtype=np.uint16)
+        self.order = len(self.table)
+        self.radix = tuple(self.radix)
+        self.inv = np.empty(self.order, dtype=np.uint16)
+        rows, cols = np.nonzero(self.table == self.identity)
+        self.inv[rows] = cols
+        _verify_laws(self)
+        if self.radix:
+            _verify_radix(self)
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -90,21 +110,22 @@ def readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _closure(g: GroupTable, closed: np.ndarray, new) -> np.ndarray:
-    """Mask of the product closure of the closed mask `closed` and ids `new`.
+def _closure(t: np.ndarray, closed: np.ndarray, new) -> np.ndarray:
+    """Mask of the product closure, under the table t, of the closed mask
+    `closed` and ids `new`.
 
     Each round multiplies only the ids the round before added, on both
     sides, by every id reached so far.  Products of two old ids lie in
-    `closed`, so they are never taken.
+    `closed`, so they are never taken.  Associativity is not assumed, so
+    the group-law proof can call it on a table it has not yet proven.
     """
-    t = g.table
-    fresh = np.zeros(g.order, dtype=bool)
+    fresh = np.zeros(len(t), dtype=bool)
     fresh[np.asarray(new, dtype=np.intp)] = True
     fresh &= ~closed
     cur = closed | fresh
     while fresh.any() and not cur.all():
         f, c = np.flatnonzero(fresh), np.flatnonzero(cur)
-        hits = np.zeros(g.order, dtype=bool)
+        hits = np.zeros(len(t), dtype=bool)
         hits[np.take(t[f], c, axis=1)] = True
         hits[np.take(t[c], f, axis=1)] = True
         fresh = hits & ~cur
@@ -140,7 +161,7 @@ def _verify_laws(gt: GroupTable) -> None:
         s = int(np.argmin(span))
         if not np.array_equal(t[t[:, s]], np.take(t, t[s], axis=1)):
             raise NotAGroup(f"associativity fails at s={s}")
-        span = _closure(gt, span, [s])
+        span = _closure(t, span, [s])
 
 
 def _verify_radix(gt: GroupTable) -> None:
@@ -159,21 +180,11 @@ def _verify_radix(gt: GroupTable) -> None:
 
 def make_group(table: np.ndarray, identity: int, label: str = "table",
                field_spec=None, radix: tuple = ()) -> GroupTable:
-    """Wraps a multiplication table, computes inverses, verifies group laws
-    and, when given, the digit layout `radix` (see GroupTable.radix)."""
-    n = len(table)
-    if n > ffield.TABLE_CAP:
-        raise OrderCap(f"group order {n} exceeds dense table cap {ffield.TABLE_CAP}")
-    table = np.ascontiguousarray(table, dtype=np.uint16)
-    inv = np.empty(n, dtype=np.uint16)
-    rows, cols = np.nonzero(table == identity)
-    inv[rows] = cols
-    gt = GroupTable(order=n, table=table, identity=identity, inv=inv,
-                    label=label, field=field_spec, radix=tuple(radix))
-    _verify_laws(gt)
-    if gt.radix:
-        _verify_radix(gt)
-    return gt
+    """The GroupTable of a multiplication table of order at most TABLE_CAP."""
+    if len(table) > ffield.TABLE_CAP:
+        raise OrderCap(f"group order {len(table)} exceeds dense table cap {ffield.TABLE_CAP}")
+    return GroupTable(table=table, identity=identity, label=label, field=field_spec,
+                      radix=radix)
 
 
 # -- constructors -------------------------------------------------------------
@@ -182,16 +193,19 @@ def additive_group(spec: FieldSpec) -> GroupTable:
     """(F_q, +) with element ids equal to field element indices: the
     coefficient digits (c0, ..., c_{n-1}), c0 most significant."""
     fops = ops(spec)
-    return make_group(fops.add_table(), fops.zero_index, label="additive",
-                      field_spec=spec, radix=(spec.p,) * spec.n)
+    gt = make_group(fops.add_table(), fops.zero_index, label="additive",
+                    field_spec=spec, radix=(spec.p,) * spec.n)
+    gt.field_ids = readonly(np.arange(spec.q))
+    return gt
 
 
 def multiplicative_group(spec: FieldSpec) -> GroupTable:
     """(F_q^*, ·); group id e corresponds to field index e + 1."""
     fops = ops(spec)
     mt = fops.mul_table()[1:, 1:].astype(np.int64) - 1
-    return make_group(mt, fops.one_index - 1, label="multiplicative",
-                      field_spec=spec)
+    gt = make_group(mt, fops.one_index - 1, label="multiplicative", field_spec=spec)
+    gt.field_ids = readonly(np.arange(1, spec.q))
+    return gt
 
 
 def cyclic_group(n: int) -> GroupTable:
@@ -230,6 +244,7 @@ def sl2(spec: FieldSpec) -> GroupTable:
     ident = int(lookup[((fops.one_index * q + 0) * q + 0) * q + fops.one_index])
     gt = make_group(table, ident, label="sl2", field_spec=spec)
     gt.sl2_entries = np.stack([a, b, c, d], axis=1)
+    gt.field_ids = readonly(fops.add(a, d))  # the trace
     return gt
 
 
@@ -279,8 +294,6 @@ class Subgroup:
         self.index = g.order // size
         coset_min = left.min(axis=1)
         self.reps = readonly(np.unique(coset_min))
-        if len(self.reps) != self.index:
-            raise NotAGroup(f"{len(self.reps)} left cosets, expected index {self.index}")
         self.coset_of = readonly(np.searchsorted(self.reps, coset_min))
         # x -> min(xH) and x -> min(Hx) name the left and the right cosets,
         # so they agree iff xH = Hx for every x
@@ -339,7 +352,7 @@ def generated_subgroup(g: GroupTable, gens) -> Subgroup:
     """Smallest subgroup containing gens, by product closure."""
     trivial = np.zeros(g.order, dtype=bool)
     trivial[g.identity] = True
-    return Subgroup(parent=g, members=_closure(g, trivial, list(gens)))
+    return Subgroup(parent=g, members=_closure(g.table, trivial, list(gens)))
 
 
 @per_group
@@ -366,53 +379,36 @@ def character_phases(g: GroupTable):
 
     Returns (L, phases) where L is the group exponent and phases is an
     (order, order) integer array with character i taking the value
-    exp(2*pi*1j*phases[i, x]/L) at element x.  Built by extending characters
-    one cyclic step at a time, so everything stays in exact arithmetic.
+    exp(2*pi*1j*phases[i, x]/L) at element x.  Rows are sorted by phase
+    vector, so row 0 is the trivial character.  Built by extending
+    characters one cyclic step at a time, so everything stays in exact
+    arithmetic.
     """
     if not g.is_abelian:
         raise NotAbelian("character phases require an abelian group")
-    n = g.order
-    L = g.exponent
-    t = g.table
-    sub = [g.identity]
-    pos = {g.identity: 0}
+    L, t = g.exponent, g.table
+    sub = np.array([g.identity])  # column c of phases is element sub[c]
+    col = np.full(g.order, -1)  # id -> its column, -1 outside the span so far
+    col[g.identity] = 0
     phases = np.zeros((1, 1), dtype=np.int64)
-    while len(sub) < n:
-        h = next(x for x in range(n) if x not in pos)
-        # k = least power with h^k already in the current subgroup
-        k = 1
-        hp = h
-        while hp not in pos:
-            hp = int(t[hp, h])
-            k += 1
-        tgt = phases[:, pos[hp]]  # phi(h^k) for each current character
-        if (tgt % k).any():
-            raise NotAGroup(f"character values at {h}^{k} are not divisible by {k}")
-        base = tgt // k
-        step = L // k
-        c, m = phases.shape
-        new_phases = np.empty((c * k, m * k), dtype=np.int64)
-        hj = g.identity
-        cols = []
-        for j in range(k):
-            if j:
-                hj = int(t[hj, h])
-            cols.append(t[np.asarray(sub, dtype=np.int64), hj])
-        for ti in range(k):
-            x = (base + ti * step) % L  # shape (c,)
-            for j in range(k):
-                new_phases[ti * c:(ti + 1) * c, j * m:(j + 1) * m] = \
-                    (phases + j * x[:, None]) % L
-        sub = [int(e) for block in cols for e in block]
-        pos = {e: i for i, e in enumerate(sub)}
-        if len(pos) < len(sub):
-            raise NotAGroup(f"cosets of the span so far by powers of {h} overlap")
-        phases = new_phases
-    # reorder columns so column e is element e
-    perm = np.empty(n, dtype=np.int64)
-    for i, e in enumerate(sub):
-        perm[e] = i
-    phases = phases[:, perm]
+    while len(sub) < g.order:
+        h = int(np.argmax(col < 0))
+        powers = [g.identity]  # h^j for j < k, k the least power in the span
+        hk = h
+        while col[hk] < 0:
+            powers.append(hk)
+            hk = int(t[hk, h])
+        k = len(powers)
+        # the k extensions of each character take these values at h: the
+        # k-th roots of its value at h^k
+        at_h = (phases[:, col[hk]] // k + np.arange(k)[:, None] * (L // k)) % L
+        # extension (ti, i) at sub[m]·h^j is phases[i, m] + j·at_h[ti, i]
+        j = np.arange(k)[:, None]
+        phases = ((phases[None, :, None, :] + j * at_h[:, :, None, None]) % L).reshape(
+            k * len(phases), k * len(sub))
+        sub = t[sub[None, :], np.array(powers)[:, None]].ravel()
+        col[sub] = np.arange(len(sub))
+    phases = phases[:, col]
     # canonical character order: lexicographic by phase vector
     order = np.lexsort(phases.T[::-1])
     return L, readonly(phases[order])
@@ -475,8 +471,8 @@ def _nonabelian_normal_subgroups(g: GroupTable, max_index: int) -> list:
     """
     trivial = np.zeros(g.order, dtype=bool)
     trivial[g.identity] = True
-    atoms = [_closure(g, trivial, cls) for cls in conjugacy_classes(g)]
-    join = lambda m, a: _closure(g, m, np.flatnonzero(a))
+    atoms = [_closure(g.table, trivial, cls) for cls in conjugacy_classes(g)]
+    join = lambda m, a: _closure(g.table, m, np.flatnonzero(a))
     return [Subgroup(parent=g, members=m) for m in _lattice_walk(trivial, atoms, join)
             if g.order // int(m.sum()) <= max_index]
 
@@ -497,7 +493,5 @@ def normal_subgroups_up_to_index(g: GroupTable, max_index: int) -> list:
         subs = _abelian_normal_subgroups(g, max_index)
     else:
         subs = _nonabelian_normal_subgroups(g, max_index)
-    if any(not s.normal or s.index > max_index for s in subs):
-        raise NotAGroup(f"an enumerated subgroup is not normal or has index > {max_index}")
     subs.sort(key=lambda s: (s.index, s.members.tobytes()))
     return subs

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import defform, fourier, quasi
-from .errors import InadmissibleQ, NotSubset, ShapeMismatch
+from .errors import InadmissibleQ, NotSubset
 from .ffield import FieldSpec, is_prime, make_field
 from .grp import (GroupTable, Subgroup, additive_group, cosets, cyclic_group,
                   multiplicative_group, normal_subgroups_up_to_index, sl2)
@@ -46,14 +46,13 @@ class Family:
     """A uniformly definable (group, connection set) construction.
 
     formula_text may depend on the characteristic, so it is produced by a
-    callable of the field; connection masks are over group element ids.
+    callable of the field; the connection set is connection_set(g, formula).
     """
 
     name: str
     group_builder: Callable[[FieldSpec], GroupTable]
     formula_of: Callable[[FieldSpec], defform.Formula]
     admissible: Callable[[int, int, int], bool]  # (q, p, n) -> bool
-    connection_set: Callable[[GroupTable, FieldSpec, defform.Formula], np.ndarray]
 
     def check_admissible(self, q: int):
         p, n = factor_prime_power(q)
@@ -63,37 +62,16 @@ class Family:
 
     def instantiate(self, q: int):
         """Builds (group, connection mask, formula) at field size q."""
-        self.check_admissible(q)
-        p, n = factor_prime_power(q)
-        spec = make_field(p, n)
+        spec = make_field(*self.check_admissible(q))
         g = self.group_builder(spec)
         f = self.formula_of(spec)
-        d = self.connection_set(g, spec, f)
-        if d.shape != (g.order,):
-            raise ShapeMismatch(f"{self.name}: connection mask shape {d.shape}"
-                                f" is not ({g.order},)")
-        return g, d.astype(bool), f
+        return g, connection_set(g, f), f
 
 
-def _field_set_mask(spec: FieldSpec, f: defform.Formula) -> np.ndarray:
-    return defform.evaluate(f, spec).membership
-
-
-def _additive_connection(g, spec, f):
-    return _field_set_mask(spec, f)
-
-
-def _multiplicative_connection(g, spec, f):
-    # group id e is field index e + 1 (zero excluded)
-    return _field_set_mask(spec, f)[1:]
-
-
-def _trace_connection(g, spec, f):
-    from .ffield import ops
-    fops = ops(spec)
-    entries = g.sl2_entries  # (order, 4): a, b, c, d field indices
-    trace = fops.add(entries[:, 0], entries[:, 3])
-    return _field_set_mask(spec, f)[trace]
+def connection_set(g: GroupTable, f: defform.Formula) -> np.ndarray:
+    """Mask of the ids whose field point g.field_ids lies in the set the
+    one-variable formula f defines over g.field."""
+    return defform.evaluate(f, g.field).membership[g.field_ids]
 
 
 def _artin_schreier_formula(spec: FieldSpec) -> defform.Formula:
@@ -109,23 +87,19 @@ def builtin_families() -> dict:
         Family(name="paley",
                group_builder=additive_group,
                formula_of=square,
-               admissible=lambda q, p, n: p != 2,
-               connection_set=_additive_connection),
+               admissible=lambda q, p, n: p != 2),
         Family(name="artin_schreier",
                group_builder=additive_group,
                formula_of=_artin_schreier_formula,
-               admissible=lambda q, p, n: n >= 2,
-               connection_set=_additive_connection),
+               admissible=lambda q, p, n: n >= 2),
         Family(name="sl2_trace_square",
                group_builder=sl2,
                formula_of=square,
-               admissible=lambda q, p, n: p != 2,
-               connection_set=_trace_connection),
+               admissible=lambda q, p, n: p != 2),
         Family(name="mult_cubes",
                group_builder=multiplicative_group,
                formula_of=cube,
-               admissible=lambda q, p, n: q % 3 == 1,
-               connection_set=_multiplicative_connection),
+               admissible=lambda q, p, n: q % 3 == 1),
     ]
     return {f.name: f for f in fams}
 

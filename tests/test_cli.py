@@ -67,7 +67,7 @@ def _report_reference(group_text, formula_text, max_index):
     Dt ∩ H inside H as a group of its own, for one t per coset."""
     g = parse_group_literal(group_text)
     f = defform.parse(formula_text)
-    d = cli._connection_from_formula(g, g.field, f)
+    d = reglab.connection_set(g, f)
     rep = quasi.verify_gowers_relations(quasi.cayley_bipartite(g, d))
     outcome = reglab.subgroup_search(g, d, max_index)
     h = outcome.subgroup
@@ -116,7 +116,7 @@ def test_report_matches_reference(group_text, formula_text, max_index, exact):
         return
     doc = json.loads(res.output)
     g = parse_group_literal(group_text)
-    d = cli._connection_from_formula(g, g.field, defform.parse(formula_text))
+    d = reglab.connection_set(g, defform.parse(formula_text))
     if g.radix:
         got, want = doc.pop("eps3"), ref.pop("eps3")
         assert abs(got["value"] - want["value"]) <= got["error"] + want["error"]

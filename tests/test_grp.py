@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +19,6 @@ from qrlab.errors import (NotAbelian, NotAGroup, NotNormalWhenRequired,
 from qrlab.ffield import make_field
 
 # Latin squares with identity 0 that are not associative, so not groups.
-# Each one reaches a different derived-data check.
 LOOP_PHASES = [[0, 1, 2, 3, 4, 5, 6], [1, 6, 3, 2, 0, 4, 5],
                [2, 3, 5, 1, 6, 0, 4], [3, 2, 1, 4, 5, 6, 0],
                [4, 0, 6, 5, 2, 3, 1], [5, 4, 0, 6, 3, 1, 2],
@@ -30,16 +31,7 @@ LOOP_SIDES = [[0, 1, 2, 3, 4, 5], [1, 2, 0, 5, 3, 4], [2, 5, 3, 4, 1, 0],
               [3, 0, 4, 2, 5, 1], [4, 3, 5, 1, 0, 2], [5, 4, 1, 0, 2, 3]]
 LOOP_NORMAL = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 4, 5, 2], [2, 3, 4, 5, 0, 1],
                [3, 4, 5, 2, 1, 0], [4, 5, 0, 1, 2, 3], [5, 2, 1, 0, 3, 4]]
-
-
-def unchecked_group(rows) -> grp.GroupTable:
-    """A GroupTable built straight from a table, bypassing make_group."""
-    table = np.array(rows, dtype=np.uint16)
-    n = len(table)
-    inv = np.empty(n, dtype=np.uint16)
-    r, c = np.nonzero(table == 0)
-    inv[r] = c
-    return grp.GroupTable(order=n, table=table, identity=0, inv=inv)
+LOOPS = [LOOP_PHASES, LOOP_OVERLAP, LOOP_CLASSES, LOOP_SIDES, LOOP_NORMAL]
 
 
 def test_additive_group_basics():
@@ -150,8 +142,8 @@ def swapped_cyclic(n: int) -> np.ndarray:
 
 
 def _differential_tables():
-    yield from ((f"loop{i}", np.array(rows, dtype=np.uint16), 0, False) for i, rows in
-                enumerate([LOOP_PHASES, LOOP_OVERLAP, LOOP_CLASSES, LOOP_SIDES, LOOP_NORMAL]))
+    yield from ((f"loop{i}", np.array(rows, dtype=np.uint16), 0, False)
+                for i, rows in enumerate(LOOPS))
     for n in (8, 64, 512, 514):
         yield f"swapped Z/{n}", swapped_cyclic(n), 0, False
     yield "Z/64", grp.cyclic_group(64).table, 0, True
@@ -176,7 +168,7 @@ def test_group_laws_proven_above_512():
     # Latin, with identity and inverses, and 4 bad cells out of 4096^2:
     # sampled triples are likely to miss them, a proof of associativity not
     with pytest.raises(NotAGroup, match="associativity"):
-        grp.make_group(swapped_cyclic(4096), 0)
+        grp.GroupTable(table=swapped_cyclic(4096), identity=0)
 
 
 def test_conjugacy_classes_sl2_3():
@@ -308,32 +300,35 @@ def test_generated_subgroup_full_group():
     assert grp.generated_subgroup(g, []).size == 1
 
 
-def product_closure_by_squaring(g: grp.GroupTable, ids) -> np.ndarray:
-    """Reference: square the set until it stops growing."""
-    mask = np.zeros(g.order, dtype=bool)
-    mask[[g.identity, *ids]] = True
+def product_closure_by_squaring(t: np.ndarray, e: int, ids) -> np.ndarray:
+    """Reference: square the set {e} ∪ ids under the table t until it stops
+    growing."""
+    mask = np.zeros(len(t), dtype=bool)
+    mask[[e, *ids]] = True
     while True:
         elems = np.flatnonzero(mask)
         grown = mask.copy()
-        grown[g.table[np.ix_(elems, elems)]] = True
+        grown[t[np.ix_(elems, elems)]] = True
         if (grown == mask).all():
             return mask
         mask = grown
 
 
 def test_closure_grows_closed_sets_to_the_product_closure():
-    # groups, and loops too: the closure never relies on associativity
-    loops = [LOOP_PHASES, LOOP_CLASSES, LOOP_SIDES, swapped_cyclic(10).tolist()]
-    for g, is_group in [(grp.sl2(make_field(3)), True), (grp.cyclic_group(12), True)] + [
-            (unchecked_group(rows), False) for rows in loops]:
-        trivial = product_closure_by_squaring(g, [])
-        for x in range(g.order):
-            closed = product_closure_by_squaring(g, [x])
-            assert np.array_equal(grp._closure(g, trivial, [x]), closed), x
-            for s in range(g.order):
-                ref = product_closure_by_squaring(g, [x, s])
-                assert np.array_equal(grp._closure(g, closed, [s]), ref), (x, s)
-                if is_group:
+    # groups, and raw loop tables too: the closure never relies on
+    # associativity, since the group-law proof calls it on unproven tables
+    groups = [grp.sl2(make_field(3)), grp.cyclic_group(12)]
+    loops = [np.array(rows, dtype=np.uint16)
+             for rows in [LOOP_PHASES, LOOP_CLASSES, LOOP_SIDES]] + [swapped_cyclic(10)]
+    for t, e, g in [(g.table, g.identity, g) for g in groups] + [(t, 0, None) for t in loops]:
+        trivial = product_closure_by_squaring(t, e, [])
+        for x in range(len(t)):
+            closed = product_closure_by_squaring(t, e, [x])
+            assert np.array_equal(grp._closure(t, trivial, [x]), closed), x
+            for s in range(len(t)):
+                ref = product_closure_by_squaring(t, e, [x, s])
+                assert np.array_equal(grp._closure(t, closed, [s]), ref), (x, s)
+                if g is not None:
                     assert np.array_equal(grp.generated_subgroup(g, [x, s]).members, ref)
 
 
@@ -351,6 +346,31 @@ def test_character_phases_orthogonal():
 def test_character_phases_need_abelian():
     with pytest.raises(NotAbelian):
         grp.character_phases(grp.sl2(make_field(3)))
+
+
+def prime_powers(top: int):
+    for q in range(2, top + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        n = round(math.log(q, p))
+        if p ** n == q:
+            yield p, n
+
+
+def test_character_phases_are_the_dual_group():
+    groups = [grp.cyclic_group(n) for n in range(1, 65)]
+    groups += [grp.multiplicative_group(make_field(p, n)) for p, n in prime_powers(127)]
+    groups += [grp.additive_group(make_field(p, n)) for p, n in prime_powers(81)]
+    for g in groups:
+        L, phases = grp.character_phases(g)
+        name = (g.label, g.order)
+        assert L == g.exponent and phases.min() >= 0 and phases.max() < L, name
+        # every row is a homomorphism G -> Z/L
+        assert np.array_equal(phases[:, g.table],
+                              (phases[:, :, None] + phases[:, None, :]) % L), name
+        assert len(np.unique(phases, axis=0)) == g.order, name
+        # rows in lexicographic order, so the trivial character comes first
+        assert (np.lexsort(phases.T[::-1]) == np.arange(g.order)).all(), name
+        assert (phases[0] == 0).all(), name
 
 
 def test_normal_subgroups_klein_four():
@@ -528,35 +548,10 @@ def test_verify_laws_rejects_non_square_table():
         grp.make_group(np.zeros((3, 4), dtype=np.int64), 0)
 
 
-def test_character_phases_reject_non_group():
-    with pytest.raises(NotAGroup, match="not divisible"):
-        grp.character_phases(unchecked_group(LOOP_PHASES))
-    with pytest.raises(NotAGroup, match="overlap"):
-        grp.character_phases(unchecked_group(LOOP_OVERLAP))
-    with pytest.raises(NotAGroup):
-        fourier.abelian_characters(unchecked_group(LOOP_PHASES))
-    with pytest.raises(NotAGroup):
-        grp.normal_subgroups_up_to_index(unchecked_group(LOOP_PHASES), 7)
-
-
-def test_class_constants_reject_non_group():
-    with pytest.raises(NotAGroup):
-        fourier._class_constants(unchecked_group(LOOP_CLASSES))
-    with pytest.raises(NotAGroup):
-        fourier.irrep_dimensions(unchecked_group(LOOP_SIDES))
-
-
-def test_cosets_reject_non_group():
-    # closed sets of a loop that the left translates do not split into index cosets
-    for rows, x in [(LOOP_CLASSES, 3), (LOOP_SIDES, 4)]:
-        g = unchecked_group(rows)
-        with pytest.raises(NotAGroup, match="left cosets"):
-            grp.generated_subgroup(g, [x])
-
-
-def test_normal_subgroup_enumeration_rejects_non_group():
-    with pytest.raises(NotAGroup):
-        grp.normal_subgroups_up_to_index(unchecked_group(LOOP_NORMAL), 6)
+def test_group_table_proves_itself():
+    for rows in LOOPS:
+        with pytest.raises(NotAGroup):
+            grp.GroupTable(table=rows, identity=0)
 
 
 def test_non_group_raises_under_optimized_python():
@@ -568,15 +563,14 @@ def test_non_group_raises_under_optimized_python():
         "import numpy as np\n"
         "from qrlab import grp\n"
         "from qrlab.errors import NotAGroup\n"
-        f"t = np.array({LOOP_PHASES!r}, dtype=np.uint16)\n"
-        "inv = np.array([int(np.flatnonzero(r == 0)[0]) for r in t], dtype=np.uint16)\n"
-        "g = grp.GroupTable(order=len(t), table=t, identity=0, inv=inv)\n"
         "assert False, 'asserts must be off under -O'\n"
-        "try:\n"
-        "    grp.character_phases(g)\n"
-        "except NotAGroup:\n"
-        "    sys.exit(0)\n"
-        "sys.exit(1)\n")
+        + inspect.getsource(swapped_cyclic) +
+        f"for rows in {LOOPS!r} + [swapped_cyclic(4096)]:\n"
+        "    try:\n"
+        "        grp.GroupTable(table=rows, identity=0)\n"
+        "    except NotAGroup:\n"
+        "        continue\n"
+        "    sys.exit(1)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from qrlab import defform, fourier, grp, quasi, reglab
-from qrlab.errors import InadmissibleQ, NotSubset, QrlabError, ShapeMismatch
+from qrlab.errors import InadmissibleQ, NotSubset, QrlabError
+from qrlab.ffield import ops
 
 ODD_PRIME_POWERS = [5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41,
                     43, 47, 49, 53, 59, 61]
@@ -69,14 +70,30 @@ def test_sl2_trace_square_family():
         assert vals.all() or not vals.any()
 
 
-def test_instantiate_rejects_wrong_mask_shape():
-    paley = reglab.builtin_families()["paley"]
-    fam = reglab.Family(name="short", group_builder=paley.group_builder,
-                        formula_of=paley.formula_of,
-                        admissible=paley.admissible,
-                        connection_set=lambda g, spec, f: np.zeros(g.order - 1))
-    with pytest.raises(ShapeMismatch):
-        fam.instantiate(5)
+def connection_by_label(g, f):
+    """Reference: the per-group rule, dispatched on the group's label."""
+    mask = defform.evaluate(f, g.field).membership
+    if g.label == "additive":
+        return mask
+    if g.label == "multiplicative":
+        return mask[1:]  # group id e is field index e + 1
+    fops = ops(g.field)
+    return mask[fops.add(g.sl2_entries[:, 0], g.sl2_entries[:, 3])]  # the trace
+
+
+def test_connection_set_matches_per_group_rules():
+    kinds = set()
+    for fam in reglab.builtin_families().values():
+        for q in range(2, 14):
+            try:
+                g, d, f = fam.instantiate(q)
+            except InadmissibleQ:
+                continue
+            want = connection_by_label(g, f)
+            assert d.dtype == bool and d.shape == (g.order,), (fam.name, q)
+            assert np.array_equal(d, want), (fam.name, q)
+            kinds.add(g.label)
+    assert kinds == {"additive", "multiplicative", "sl2"}
 
 
 def test_subgroup_search_artin_schreier():
