@@ -25,16 +25,20 @@ from .grp import parse_group_literal
 def _parse_modulus(text):
     if not text:
         return None
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise click.UsageError(f"bad --modulus {text!r}; expected comma-separated ints")
 
 
 def _parse_params(pairs):
     out = {}
     for p in pairs:
         name, _, val = p.partition("=")
-        if not val:
-            raise click.UsageError(f"bad --param {p!r}; expected name=value")
-        out[name.strip()] = int(val)
+        try:
+            out[name.strip()] = int(val)
+        except ValueError:
+            raise click.UsageError(f"bad --param {p!r}; expected name=int")
     return out
 
 
@@ -90,9 +94,9 @@ def report_cmd(group_text, formula_text, subgroup_max_index, out_path):
         raise click.UsageError("--set-formula must have exactly one free variable")
     d = reglab.connection_set(g, f)
     rec = reglab.analyse(g, d, subgroup_max_index)
-    # the full graph, for eps2 and the biregularity check
-    rep = quasi.gowers_report(quasi.cayley_bipartite(g, d), rec["eps1"],
-                              rec["eps3"], rec["eps3_err"])
+    # the full graph (G, e): every Cayley graph is biregular, with |G|·|D| edges
+    rep = quasi.gowers_report(rec["outcome"].full, g.order, g.order,
+                              g.order * int(d.sum()), True)
     doc = rep.to_json_dict()
     doc.update({
         "group": group_text,
@@ -102,8 +106,7 @@ def report_cmd(group_text, formula_text, subgroup_max_index, out_path):
         "order_hash": spec.order_hash,
         "h_index": rec["h_index"],
         "h_members": [int(x) for x in rec["outcome"].subgroup.element_ids()],
-        "max_coset_eps1": {"num": rec["max_coset_eps1"].numerator,
-                           "den": rec["max_coset_eps1"].denominator},
+        "max_coset_eps1": quasi.frac(rec["max_coset_eps1"]),
         "fourier_eps": {"value": rec["fourier_eps"], "method": "spectral"},
     })
     text = json.dumps(doc, indent=2)

@@ -25,7 +25,7 @@ from .quasi import FLOAT_SLACK, block_stats
 # unused here; perfbench/spans.py patches them on fourier
 from .quasi import cayley_bipartite, eps1_quasirandomness, eps3_spectral
 
-IRREP_CAP = 512
+IRREP_CAP = 128  # irreducibles, i.e. conjugacy classes k: the class algebra costs k⁴
 CHAR_TOL = 1e-9
 
 
@@ -129,8 +129,8 @@ def irrep_dimensions(g: GroupTable, seed: int = 0) -> list:
     by integrality and sum of squares = |H|; degenerate random combinations
     are retried with fresh coefficients.
     """
-    if g.order > IRREP_CAP:
-        raise OrderCap(f"group order {g.order} exceeds {IRREP_CAP}")
+    if len(conjugacy_classes(g)) > IRREP_CAP:
+        raise OrderCap(f"{len(conjugacy_classes(g))} conjugacy classes exceed {IRREP_CAP}")
     classes, _, mats = _class_constants(g)
     k = len(classes)
     sizes = np.array([len(c) for c in classes], dtype=np.float64)

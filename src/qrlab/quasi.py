@@ -2,10 +2,10 @@
 
 Provides the 4-cycle defect eps1 (exact rational), the exact weak-regularity
 defect eps2 (cut-norm style, exact rational), the spectral parameter eps3
-(float with certified residual), eps1 and eps3 of batches of coset blocks
-(by FFT on groups with a digit layout), regularity checking with witnesses,
-and the record of polynomial-equivalence inequalities between the three
-parameters.
+(float with certified residual), all three for batches of coset blocks,
+each computed on first read (by FFT on groups with a digit layout),
+regularity checking with witnesses, and the record of
+polynomial-equivalence inequalities between the three parameters.
 """
 
 from __future__ import annotations
@@ -150,67 +150,73 @@ def eps3_spectral(bg: BipartiteGraph):
     return sigma, err
 
 
-# -- coset blocks: eps1 and eps3 together -------------------------------------
+# -- coset blocks: eps1, eps2 and eps3 on first read --------------------------
 
 class BlockStats:
-    """eps1, eps3 and the certified error of eps3 of one coset block.
+    """eps1, eps3 with its certified error, and eps2 of one coset block,
+    each computed when first read.
 
-    The dense route keeps the block's graph and runs eps1_quasirandomness (a
-    Gram) and eps3_spectral (an eigh) on it only when each is first read,
-    dropping the graph once both have run: a subgroup search reads eps1 of
-    every block and eps3 of the winner's blocks and (G, e) alone, and the
-    subset parameter reads eps3 alone.
+    Each slot holds a value or a zero-argument function, and the function's
+    result replaces it on first read: a subgroup search reads eps1 of every
+    block and eps3 of the winner's blocks and (G, e) alone, the subset
+    parameter reads eps3 alone, and eps2 is read by ``qr report`` and the
+    weak-regularity audit.  eps2 is None above EPS2_SIDE_CAP (see
+    block_stats).
     """
 
-    def __init__(self, eps1: Optional[Fraction] = None, eps3: Optional[tuple] = None,
-                 graph: Optional[BipartiteGraph] = None):
-        self._eps1, self._eps3, self._graph = eps1, eps3, graph
+    def __init__(self, eps1, eps3, eps2):
+        self._slots = {"eps1": eps1, "eps3": eps3, "eps2": eps2}
 
-    def _release(self):
-        if self._eps1 is not None and self._eps3 is not None:
-            self._graph = None
+    def _read(self, name):
+        value = self._slots[name]
+        if callable(value):
+            value = self._slots[name] = value()
+        return value
 
     @property
     def eps1(self) -> Fraction:
-        if self._eps1 is None:
-            self._eps1 = eps1_quasirandomness(self._graph)
-            self._release()
-        return self._eps1
+        return self._read("eps1")
 
-    def _spectral(self) -> tuple:
-        if self._eps3 is None:
-            self._eps3 = eps3_spectral(self._graph)
-            self._release()
-        return self._eps3
+    @property
+    def eps2(self) -> Optional[Fraction]:
+        return self._read("eps2")
 
     @property
     def eps3(self) -> float:
-        return self._spectral()[0]
+        return self._read("eps3")[0]
 
     @property
     def eps3_err(self) -> float:
-        return self._spectral()[1]
+        return self._read("eps3")[1]
 
     def __eq__(self, other) -> bool:
-        return (self.eps1, self._spectral()) == (other.eps1, other._spectral())
+        return all(self._read(name) == other._read(name) for name in self._slots)
 
 
 def block_stats(g: GroupTable, d: np.ndarray, blocks: list) -> list:
     """BlockStats of the graph cayley_bipartite(g, d, h, t) for each (h, t)
     in blocks (h = None for G, t = None for e).
 
-    On a group with a digit layout (GroupTable.radix) they come from batched
-    transforms over G, with no graph built (see _fft_block_stats); elsewhere
-    each block is built and goes through eps1_quasirandomness when its eps1
-    is read and through eps3_spectral when its eps3 is read.  This is the
-    one place that picks the kernel for a Cayley graph's statistics.
+    On a group with a digit layout (GroupTable.radix) eps1 and eps3 come
+    from batched transforms over G, with no graph built (see
+    _fft_block_stats); elsewhere each block is built, and its functions,
+    the graph's only holders, run eps1_quasirandomness and eps3_spectral on
+    it.  A block of side |H| <= EPS2_SIDE_CAP gets an eps2 function that
+    builds its graph and runs eps2_exact; above the cap its eps2 is None.
+    This is the one place that picks the kernels for a Cayley graph's
+    statistics.
     """
     d = np.asarray(d, dtype=bool)
-    if not g.radix:
-        return [BlockStats(graph=cayley_bipartite(g, d, h, t)) for h, t in blocks]
-    step = max(1, FFT_BATCH_CELLS // g.order)
-    return [st for i in range(0, len(blocks), step)
-            for st in _fft_block_stats(g, d, blocks[i:i + step])]
+    if g.radix:
+        step = max(1, FFT_BATCH_CELLS // g.order)
+        pairs = [pair for i in range(0, len(blocks), step)
+                 for pair in _fft_block_stats(g, d, blocks[i:i + step])]
+    else:
+        pairs = [(lambda bg=bg: eps1_quasirandomness(bg), lambda bg=bg: eps3_spectral(bg))
+                 for bg in (cayley_bipartite(g, d, h, t) for h, t in blocks)]
+    return [BlockStats(e1, e3, None if (g.order if h is None else h.size) > EPS2_SIDE_CAP
+                       else lambda h=h, t=t: eps2_exact(cayley_bipartite(g, d, h, t)))
+            for (e1, e3), (h, t) in zip(pairs, blocks)]
 
 
 def _dft(x: np.ndarray, radix: tuple, inverse: bool = False) -> np.ndarray:
@@ -230,7 +236,8 @@ def _dft(x: np.ndarray, radix: tuple, inverse: bool = False) -> np.ndarray:
 
 
 def _fft_block_stats(g: GroupTable, d: np.ndarray, blocks: list) -> list:
-    """block_stats of an abelian group with digit layout g.radix.
+    """(eps1 function, (eps3, error)) of each block, for block_stats of an
+    abelian group with digit layout g.radix.
 
     Block (h, t) is the Cayley graph on H of S = Dt ∩ H.  With r(s) =
     #{x in S : x - s in S} its autocorrelation, the C4 that
@@ -239,6 +246,9 @@ def _fft_block_stats(g: GroupTable, d: np.ndarray, blocks: list) -> list:
     characters of H, each the restriction of [G:H] characters of G, the
     trivial one from those in H^⊥, where the transform of 1_H is |H| (and 0
     elsewhere); so eps3 is the largest |Ŝ(χ)|/|H| over χ outside H^⊥.
+    eps3 comes from the forward transform; the first eps1 read of any block
+    runs, for the whole batch, the inverse transform, the rounding
+    certificate and the Fractions.
 
     Rounding is bounded a priori, in the manner of Percival (Math. Comp.
     2003): a transform of a real x is off by at most rel·||x||_1 at each
@@ -247,10 +257,11 @@ def _fft_block_stats(g: GroupTable, d: np.ndarray, blocks: list) -> list:
     algorithms: factorised passes (Σ (f + c) over the factors f of r) and
     Bluestein's chirp convolution for a large prime r (a chirp spectrum of
     modulus up to 2r, over the ⌈log2 4r⌉ passes of a transform of length
-    below 4r).  For 0/1 x, Σ|Ŝ|² = N|S| carries that
-    through the squaring and the inverse transform to the bound on r.  A
-    bound of 1/2 or more, or an r breaking r(0) = |S|, Σ r = |S|² or
-    |H| Σ r² >= |S|⁴ (Cauchy-Schwarz on H), raises RoundingNotCertified.
+    below 4r).  That bound on each |Ŝ(χ)|, over |H|, is eps3's error.  For
+    0/1 x, Σ|Ŝ|² = N|S| carries it through the squaring and the inverse
+    transform to the bound on r.  A bound of 1/2 or more, or an r breaking
+    r(0) = |S|, Σ r = |S|² or |H| Σ r² >= |S|⁴ (Cauchy-Schwarz on H),
+    raises RoundingNotCertified on that first eps1 read.
     """
     n, radix = g.order, g.radix
     subs = list({id(h): h for h, _ in blocks}.values())
@@ -262,7 +273,6 @@ def _fft_block_stats(g: GroupTable, d: np.ndarray, blocks: list) -> list:
     ts = np.array([g.identity if t is None else t for _, t in blocks], dtype=np.intp)
     s = d[g.table[:, g.inv[ts]]].T & hmask[which]  # (block, x): x in Dt ∩ H
     amp = np.abs(_dft(s, radix))
-    r = _dft(amp * amp, radix, inverse=True).real
     sub_size = hmask.sum(axis=1)
     perp = np.zeros(hmask.shape, dtype=bool)
     perp[:, 0] = True  # 1_G transforms to |G| at the trivial character alone
@@ -274,26 +284,32 @@ def _fft_block_stats(g: GroupTable, d: np.ndarray, blocks: list) -> list:
     size, hsize = s.sum(axis=1), sub_size[which]
     rel = FFT_ROUNDING * sum(2 * k * math.ceil(math.log2(4 * k)) for k in radix)
     fwd = rel * size  # |Ŝ' - Ŝ| at every χ
-    sq = (2 * size + fwd) * fwd + 3 * FFT_ROUNDING * (size + fwd) ** 2  # |Ŝ|²
-    bound = sq + rel * (size + sq)  # r, after the inverse transform
-    if max(rel, float(bound.max())) >= 0.5:
-        raise RoundingNotCertified(f"FFT rounding bound {max(rel, float(bound.max())):.3g}"
-                                   f" on radix {radix} does not fix integers")
-    r = np.rint(r).astype(np.int64)
-    if (r[:, 0] != size).any() or (r.sum(axis=1) != size * size).any():
-        raise RoundingNotCertified("FFT autocorrelation breaks r(0) = |S| or Σ r = |S|²")
     eps3 = np.where(perp, 0.0, amp).max(axis=1) / hsize
     eps3_err = (fwd + FFT_ROUNDING * size) / hsize  # and the modulus' rounding
-    out = []
-    for k, r2 in enumerate((r * r).sum(axis=1).tolist()):
-        hs, sz = int(hsize[k]), int(size[k])
-        # C4/|H|^4 - (|S|/|H|)^4 over the common denominator |H|^4, which
-        # Cauchy-Schwarz keeps >= 0 for any r supported on H with Σ r = |S|²
-        num = hs * r2 - sz ** 4
-        if num < 0:
-            raise RoundingNotCertified("FFT autocorrelation breaks |H| Σ r² >= |S|⁴")
-        out.append(BlockStats(Fraction(num, hs ** 4), (float(eps3[k]), float(eps3_err[k]))))
-    return out
+    eps1 = []  # the batch's, from the first read on
+
+    def eps1_of(k: int) -> Fraction:
+        if not eps1:
+            r = _dft(amp * amp, radix, inverse=True).real
+            sq = (2 * size + fwd) * fwd + 3 * FFT_ROUNDING * (size + fwd) ** 2  # |Ŝ|²
+            bound = sq + rel * (size + sq)  # r, after the inverse transform
+            if max(rel, float(bound.max())) >= 0.5:
+                raise RoundingNotCertified(f"FFT rounding bound {max(rel, float(bound.max())):.3g}"
+                                           f" on radix {radix} does not fix integers")
+            r = np.rint(r).astype(np.int64)
+            if (r[:, 0] != size).any() or (r.sum(axis=1) != size * size).any():
+                raise RoundingNotCertified("FFT autocorrelation breaks r(0) = |S| or Σ r = |S|²")
+            hs = hsize.tolist()
+            # C4/|H|^4 - (|S|/|H|)^4 over the common denominator |H|^4, which
+            # Cauchy-Schwarz keeps >= 0 for any r supported on H with Σ r = |S|²
+            nums = [h * r2 - sz ** 4 for h, r2, sz in
+                    zip(hs, (r * r).sum(axis=1).tolist(), size.tolist())]
+            if min(nums) < 0:
+                raise RoundingNotCertified("FFT autocorrelation breaks |H| Σ r² >= |S|⁴")
+            eps1.extend(Fraction(num, h ** 4) for num, h in zip(nums, hs))
+        return eps1[k]
+    return [(lambda k=k: eps1_of(k), (float(eps3[k]), float(eps3_err[k])))
+            for k in range(len(blocks))]
 
 
 # -- regularity ---------------------------------------------------------------
@@ -345,6 +361,11 @@ def is_eps_regular(bg: BipartiteGraph, eps: Fraction):
 
 # -- combined report ----------------------------------------------------------
 
+def frac(x: Fraction) -> dict:
+    """The JSON form of an exact rational."""
+    return {"num": x.numerator, "den": x.denominator}
+
+
 @dataclass
 class QuasiReport:
     """All quasirandomness statistics of one graph plus relation checks."""
@@ -364,9 +385,7 @@ class QuasiReport:
         return all(self.relations.values())
 
     def to_json_dict(self) -> dict:
-        def frac(x):
-            return {"num": x.numerator, "den": x.denominator}
-        out = {
+        return {
             "schema": 1,
             "v_size": self.v_size,
             "w_size": self.w_size,
@@ -378,22 +397,25 @@ class QuasiReport:
             "relations": dict(self.relations),
             "findings": dict(self.findings),
         }
-        return out
 
 
 def verify_gowers_relations(bg: BipartiteGraph, seed: int = 0) -> QuasiReport:
-    """Computes eps1 and eps3 of bg, then gowers_report.  Every statistic
-    is deterministic: ``seed`` is accepted but not read."""
-    e1 = eps1_quasirandomness(bg)
-    e3, e3_err = eps3_spectral(bg)
-    return gowers_report(bg, e1, e3, e3_err)
+    """Computes eps1, eps3, eps2 (when a side is small enough), the edge
+    count and biregularity of bg, then gowers_report.  Every statistic is
+    deterministic: ``seed`` is accepted but not read."""
+    small = min(bg.v_size, bg.w_size) <= EPS2_SIDE_CAP
+    st = BlockStats(eps1_quasirandomness(bg), eps3_spectral(bg),
+                    eps2_exact(bg) if small else None)
+    row_deg, col_deg = bg.adj.sum(axis=1), bg.adj.sum(axis=0)
+    biregular = bool((row_deg == row_deg[0]).all() and (col_deg == col_deg[0]).all())
+    return gowers_report(st, bg.v_size, bg.w_size, bg.edges, biregular)
 
 
-def gowers_report(bg: BipartiteGraph, e1: Fraction, e3: float,
-                  e3_err: float) -> QuasiReport:
-    """Computes delta and eps2 (when a side is small enough) of bg and
-    records the polynomial-equivalence inequalities between them and the
-    given eps1 and eps3 (with its certified error) of bg.
+def gowers_report(st: BlockStats, v_size: int, w_size: int, edges: int,
+                  biregular: bool) -> QuasiReport:
+    """Records the polynomial-equivalence inequalities between the
+    statistics st of a graph with the given sides and edge count: eps1,
+    eps3 with its certified error, and eps2 unless it is None.
 
     eps2 <= eps1^{1/4} is checked exactly (as eps2^4 <= eps1); the float
     checks inflate by the certified eps3 error plus a fixed 1e-8 slack.
@@ -406,25 +428,18 @@ def gowers_report(bg: BipartiteGraph, e1: Fraction, e3: float,
     spectral converse exact; an irregular counterexample is the graph whose
     rows are alternately full and empty, with eps3 = 0 but eps1 > 0.)
     """
-    delta = bg.delta
-    try:
-        e2 = eps2_exact(bg)
-    except SideTooLarge:
-        e2 = None
-    rel = {}
-    findings = {}
+    delta = Fraction(edges, v_size * w_size)
+    e1, e2, e3, e3_err = st.eps1, st.eps2, st.eps3, st.eps3_err
+    rel, findings = {}, {}
     if e2 is not None:
         rel["eps2_le_eps1_quarter"] = e2 ** 4 <= e1
         findings["eps1_le_12_eps2"] = e1 <= 12 * e2
     rel["eps3_le_eps1_quarter"] = (e3 - e3_err) <= float(e1) ** 0.25 + FLOAT_SLACK
-    row_deg = bg.adj.sum(axis=1)
-    col_deg = bg.adj.sum(axis=0)
-    biregular = bool((row_deg == row_deg[0]).all() and (col_deg == col_deg[0]).all())
     conv = float(e1) <= float(delta) * (e3 + e3_err) ** 2 + FLOAT_SLACK
     if biregular:
         rel["eps1_le_delta_eps3_sq"] = conv
     else:
         findings["eps1_le_delta_eps3_sq_irregular"] = conv
-    return QuasiReport(v_size=bg.v_size, w_size=bg.w_size, edges=bg.edges,
+    return QuasiReport(v_size=v_size, w_size=w_size, edges=edges,
                        delta=delta, eps1=e1, eps2=e2, eps3=e3, eps3_err=e3_err,
                        relations=rel, findings=findings)

@@ -135,13 +135,6 @@ def _coset_translates(h: Subgroup) -> np.ndarray:
     return ts
 
 
-def _coset_blocks(g: GroupTable, h: Subgroup, d: np.ndarray) -> list:
-    """The graphs (H, tH, v·w^{-1} in D) for t in _coset_translates(h): one
-    block per coset, which for normal H covers every coset pair up to
-    relabelling (see SubgroupSearchOutcome)."""
-    return [quasi.cayley_bipartite(g, d, h, int(t)) for t in _coset_translates(h)]
-
-
 def subgroup_search(g: GroupTable, d: np.ndarray, max_index: int) -> SubgroupSearchOutcome:
     """Normal subgroup of index <= max_index minimizing the worst coset-pair
     4-cycle defect; ties break toward smaller index, then lexicographically
@@ -203,18 +196,16 @@ class SweepResult:
     seed: int
 
     def to_json_dict(self) -> dict:
-        def frac(x):
-            return {"num": x.numerator, "den": x.denominator}
         rows = []
         for r in self.rows:
             rows.append({
                 "q": r["q"],
-                "delta": frac(r["delta"]),
-                "eps1": frac(r["eps1"]),
+                "delta": quasi.frac(r["delta"]),
+                "eps1": quasi.frac(r["eps1"]),
                 "eps3": r["eps3"],
                 "fourier_eps": r["fourier_eps"],
                 "h_index": r["h_index"],
-                "max_coset_eps1": frac(r["max_coset_eps1"]),
+                "max_coset_eps1": quasi.frac(r["max_coset_eps1"]),
                 "modulus": list(r["modulus"]),
                 "order_hash": r["order_hash"],
             })
@@ -389,19 +380,14 @@ def weak_regularity_audit(family: Family, q: int, max_index: int = 1) -> dict:
     q^{-1/4} and q^{-1/2} reference values.
 
     "per_coset"[k] is the block (H, x_k H) of the winning subgroup, under
-    the law of SubgroupSearchOutcome.  Uses the exact cut-norm defect when
-    the coset is small enough and the search's eps1^{1/4} upper bound
-    otherwise.
+    the law of SubgroupSearchOutcome.  Uses the block's exact cut-norm
+    defect eps2 where it has one (the coset is small enough) and the
+    search's eps1^{1/4} upper bound otherwise.
     """
     g, d, f = family.instantiate(q)
     outcome = subgroup_search(g, d, max_index)
-    h = outcome.subgroup
-    if h.size <= quasi.EPS2_SIDE_CAP:
-        per_coset = [{"defect": float(quasi.eps2_exact(bg)), "exact": True}
-                     for bg in _coset_blocks(g, h, d)]
-    else:
-        per_coset = [{"defect": float(st.eps1) ** 0.25, "exact": False}
-                     for st in outcome.per_coset]
+    per_coset = [{"defect": float(st.eps1) ** 0.25, "exact": False} if st.eps2 is None
+                 else {"defect": float(st.eps2), "exact": True} for st in outcome.per_coset]
     return {"q": q, "family": family.name, "h_index": outcome.index,
             "per_coset": per_coset, "q_quarter": q ** -0.25, "q_half": q ** -0.5,
             "max_defect": max(p["defect"] for p in per_coset)}

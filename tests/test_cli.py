@@ -155,6 +155,27 @@ def test_index_one_computes_eps1_and_eps3_once(monkeypatch, args):
     assert calls == {"blocks": 1, "eps1": 0, "eps3": 0}
 
 
+@pytest.mark.parametrize("group_text, formula_text, max_index, graphs", [
+    ("add:3^4", "exists y. x = y*y*y - y", 3, 0),
+    ("add:13", SQUARE, 1, 1),
+])
+def test_report_builds_a_graph_only_for_eps2(monkeypatch, group_text, formula_text,
+                                             max_index, graphs):
+    # the transform gives every block's eps1 and eps3; the full graph is
+    # built only for eps2, which a side of 81 is above EPS2_SIDE_CAP for
+    built, build = [], quasi.cayley_bipartite
+
+    def recorded(*args):
+        built.append(args)
+        return build(*args)
+    monkeypatch.setattr(quasi, "cayley_bipartite", recorded)
+    res = run("report", "--group", group_text, "--set-formula", formula_text,
+              "--subgroup-max-index", str(max_index))
+    assert res.exit_code == 0
+    assert len(built) == graphs
+    assert (json.loads(res.output)["eps2"] is not None) == bool(graphs)
+
+
 def test_sweep_csv(tmp_path):
     out = tmp_path / "paley.csv"
     res = run("sweep", "--family", "paley", "--qs", "5,13,17,29",
@@ -190,6 +211,16 @@ def test_usage_error_exit_code(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("bad", [("--modulus", "x"), ("--param", "a=z")])
+def test_bad_modulus_or_param_exit_code(monkeypatch, capsys, bad):
+    monkeypatch.setattr("sys.argv", ["qr", "eval", "--field", "5",
+                                     "--formula", "x = 0", *bad])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("usage error:")
 
 
 def test_missing_option_exit_code(monkeypatch):

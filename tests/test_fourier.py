@@ -141,6 +141,16 @@ def test_irrep_dimensions_cap():
         fourier.irrep_dimensions(grp.cyclic_group(513))
 
 
+def test_irrep_cap_counts_conjugacy_classes():
+    # SL2(9) has 720 elements but 13 classes: Fulton-Harris §5.2 gives the
+    # degrees 1, q, q + 1, q - 1 and (q ± 1)/2 at q = 9
+    dims = fourier.irrep_dimensions(grp.sl2(make_field(3, 2)))
+    assert set(dims) == {1, 4, 5, 8, 9, 10} and len(dims) == 13
+    assert sum(x * x for x in dims) == 720
+    with pytest.raises(OrderCap, match="129 conjugacy classes"):
+        fourier.irrep_dimensions(grp.cyclic_group(129))
+
+
 def test_min_degree_bound_on_subsets():
     rng = np.random.default_rng(12)
     for q in (3, 5):
@@ -240,9 +250,29 @@ def test_verify_cor25_paley_2003():
 
 
 def test_fourier_refuses_an_uncertified_rounding(monkeypatch):
+    # the rounding certificate guards eps1 alone: the subset parameter
+    # reads eps3, which keeps its own certified error
     g, d = qr13_subset()
+    e3, e3_err = quasi.eps3_spectral(quasi.cayley_bipartite(g, d))
     monkeypatch.setattr(quasi, "FFT_ROUNDING", 1e-3)
     with pytest.raises(RoundingNotCertified):
-        fourier.subset_qr_spectral(g, d)
-    with pytest.raises(RoundingNotCertified):
         fourier.verify_cor25(g, d)
+    sq = fourier.subset_qr_spectral(g, d)
+    assert sq.err > 1e-3  # the error bound grows with the rounding unit
+    assert abs(sq.eps - e3) <= sq.err + e3_err
+
+
+def test_subset_parameter_takes_no_inverse_transform(monkeypatch):
+    g = grp.additive_group(make_field(2, 5))
+    d = np.random.default_rng(32).random(g.order) < 0.5
+    inverses, dft = [], quasi._dft
+
+    def recorded(x, radix, inverse=False):
+        inverses.append(inverse)
+        return dft(x, radix, inverse)
+    monkeypatch.setattr(quasi, "_dft", recorded)
+    fourier.subset_qr_spectral(g, d)
+    assert inverses and not any(inverses)
+    # eps1, which verify_cor25 reads, is what takes the inverse transform
+    fourier.verify_cor25(g, d)
+    assert inverses.count(True) == 1

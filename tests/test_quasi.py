@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -377,12 +378,16 @@ def test_fft_route_batches_agree(monkeypatch):
 
 def test_fft_route_refuses_an_uncertified_rounding(monkeypatch):
     g, d, _ = paley_graph(13)
-    assert quasi.block_stats(g, d, [(None, None)])
+    assert quasi.block_stats(g, d, [(None, None)])[0].eps1
     # a rounding unit large enough that the bound on the autocorrelation
-    # reaches 1/2: the rounded integers are no longer proven
+    # reaches 1/2: the rounded integers are no longer proven, which the
+    # first eps1 read finds
     monkeypatch.setattr(quasi, "FFT_ROUNDING", 1e-3)
+    st, = quasi.block_stats(g, d, [(None, None)])
     with pytest.raises(RoundingNotCertified):
-        quasi.block_stats(g, d, [(None, None)])
+        st.eps1
+    with pytest.raises(RoundingNotCertified):
+        st.eps1
 
 
 def test_fft_route_rejects_a_foreign_subgroup():
@@ -404,11 +409,63 @@ def test_dense_block_stats_run_each_kernel_once_on_first_read(monkeypatch):
             calls.append(_name)
             return _fn(graph)
         monkeypatch.setattr(quasi, name, counted)
+    graphs, build = [], quasi.cayley_bipartite
+
+    def recorded(*args):
+        bg = build(*args)
+        graphs.append(weakref.ref(bg))
+        return bg
+    monkeypatch.setattr(quasi, "cayley_bipartite", recorded)
     st, = quasi.block_stats(g, d, [(None, None)])
-    assert calls == []
+    assert calls == [] and len(graphs) == 1
     assert (st.eps3, st.eps3_err) == eps3
-    assert st._graph is not None  # eps1 still unread
+    assert graphs[0]() is not None  # eps1 still unread
     assert st.eps1 == eps1
-    assert st._graph is None
+    assert graphs[0]() is None  # released once both kernels have run
     assert (st.eps1, st.eps3, st.eps3_err) == (eps1, *eps3)
     assert calls == ["eps3_spectral", "eps1_quasirandomness"]
+
+
+def eps2_search_groups():
+    yield from (grp.cyclic_group(n) for n in range(2, 23))
+    for q in range(2, 24):
+        try:
+            p, n = reglab.factor_prime_power(q)
+        except QrlabError:
+            continue
+        yield grp.additive_group(make_field(p, n))
+        yield grp.multiplicative_group(make_field(p, n))
+    yield grp.sl2(make_field(2))
+
+
+def test_block_eps2_matches_the_dense_block(monkeypatch):
+    # every block of a search over every normal subgroup, on both routes:
+    # eps2 is eps2_exact of the block's dense graph up to EPS2_SIDE_CAP and
+    # None above it.  eps2_exact is recorded, not rerun: the graph it was
+    # given must be the dense block and its value the block's eps2.
+    rng = np.random.default_rng(23)
+    seen, eps2_exact = [], quasi.eps2_exact
+
+    def recorded(bg):
+        seen.append((bg.adj.copy(), eps2_exact(bg)))
+        return seen[-1][1]
+    monkeypatch.setattr(quasi, "eps2_exact", recorded)
+    sides = set()
+    for g in eps2_search_groups():
+        d = rng.random(g.order) < rng.random()
+        blocks = [(h, int(t)) for h in grp.normal_subgroups_up_to_index(g, g.order)
+                  for t in reglab._coset_translates(h)]
+        for (h, t), st in zip(blocks, quasi.block_stats(g, d, blocks)):
+            sides.add(h.size)
+            seen.clear()
+            eps2 = st.eps2
+            if h.size > quasi.EPS2_SIDE_CAP:
+                assert eps2 is None and seen == [], (str(g), t)
+                continue
+            elems = h.element_ids()
+            dense = d[g.table[elems[None, :], g.inv[g.table[t, elems]][:, None]]]
+            (adj, want), = seen
+            assert np.array_equal(adj, dense) and eps2 == want, (str(g), h.size, t)
+            assert st.eps2 == want and len(seen) == 1, (str(g), h.size, t)
+    # both sides of the cap are reached
+    assert {quasi.EPS2_SIDE_CAP, quasi.EPS2_SIDE_CAP + 1} <= sides

@@ -361,7 +361,7 @@ def test_coset_blocks_follow_the_block_law():
               for name, g, _, h in cases]
     for name, g, d, h in cases:
         dec = grp.cosets(h)
-        blocks = reglab._coset_blocks(g, h, d)
+        blocks = [quasi.cayley_bipartite(g, d, h, int(t)) for t in reglab._coset_translates(h)]
         assert len(blocks) == len(dec.reps), name
         e1 = [quasi.eps1_quasirandomness(bg) for bg in blocks]
         small = h.size <= quasi.EPS2_SIDE_CAP
