@@ -81,8 +81,8 @@ def eval_cmd(field_text, modulus, formula_text, params, as_json):
 @click.option("--group", "group_text", required=True,
               help="Group literal: add:Q, mul:Q, or sl2:Q.")
 @click.option("--set-formula", "formula_text", required=True,
-              help="One-variable formula selecting the connection set "
-                   "(applied to the trace for sl2 groups).")
+              help="Formula selecting the connection set, in the group's "
+                   "coordinates: x for add and mul, a, b, c, d for sl2.")
 @click.option("--subgroup-max-index", default=1, show_default=True)
 @click.option("--out", "out_path", default=None, help="Write JSON to a file.")
 def report_cmd(group_text, formula_text, subgroup_max_index, out_path):
@@ -90,8 +90,6 @@ def report_cmd(group_text, formula_text, subgroup_max_index, out_path):
     g = parse_group_literal(group_text)
     spec = g.field
     f = defform.parse(formula_text)
-    if len(f.free_vars) != 1:
-        raise click.UsageError("--set-formula must have exactly one free variable")
     d = reglab.connection_set(g, f)
     rec = reglab.analyse(g, d, subgroup_max_index)
     # the full graph (G, e): every Cayley graph is biregular, with |G|·|D| edges

@@ -282,8 +282,8 @@ class FieldOps:
     """Vectorized index-space arithmetic for one field.
 
     All methods accept and return numpy integer arrays of element indices
-    (any broadcastable shapes).  Dense q-by-q tables are built lazily for
-    q <= TABLE_CAP.
+    (any broadcastable shapes).  Dense q-by-q tables are built on each call
+    for q <= TABLE_CAP.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -297,8 +297,6 @@ class FieldOps:
             self._red[j, :len(row)] = row
         self.zero_index = 0
         self.one_index = spec.index(spec.one())
-        self._add_table = None
-        self._mul_table = None
 
     # -- digit codecs --------------------------------------------------------
 
@@ -353,24 +351,21 @@ class FieldOps:
     # -- dense tables --------------------------------------------------------
 
     def add_table(self):
-        if self._add_table is None:
-            q = self.spec.q
-            if q > TABLE_CAP:
-                raise OrderOverflow(f"no dense table above q={TABLE_CAP}")
-            idx = np.arange(q, dtype=np.int64)
-            rows = [self.add(np.full(q, i, dtype=np.int64), idx) for i in range(q)]
-            self._add_table = np.array(rows, dtype=np.uint16)
-        return self._add_table
+        return self._table(self.add)
 
     def mul_table(self):
-        if self._mul_table is None:
-            q = self.spec.q
-            if q > TABLE_CAP:
-                raise OrderOverflow(f"no dense table above q={TABLE_CAP}")
-            idx = np.arange(q, dtype=np.int64)
-            rows = [self.mul(np.full(q, i, dtype=np.int64), idx) for i in range(q)]
-            self._mul_table = np.array(rows, dtype=np.uint16)
-        return self._mul_table
+        return self._table(self.mul)
+
+    def _table(self, op):
+        """op's (q, q) uint16 table, built on each call: ops() caches FieldOps."""
+        q = self.spec.q
+        if q > TABLE_CAP:
+            raise OrderOverflow(f"no dense table above q={TABLE_CAP}")
+        idx = np.arange(q, dtype=np.int64)
+        table = np.empty((q, q), dtype=np.uint16)
+        for i in range(q):
+            table[i] = op(np.int64(i), idx)
+        return table
 
 
 @functools.lru_cache(maxsize=64)

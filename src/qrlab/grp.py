@@ -41,14 +41,11 @@ class GroupTable:
     # () when the ids have no such layout
     radix: tuple = ()
     # `field` above shadows dataclasses.field from here on in the class body
+    # coordinate name -> read-only (order,) field indices: id x is the
+    # point (coords[v][x] for v in coords) of F^k; {} without a field
+    coords: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
     order: int = dataclasses.field(init=False)
     inv: np.ndarray = dataclasses.field(init=False, repr=False)  # (order,) uint16
-    # (order,): the field index each id maps to (the id on (F_q, +), id + 1
-    # on F_q^*, the trace on SL2); None without a field
-    field_ids: Optional[np.ndarray] = dataclasses.field(
-        default=None, init=False, repr=False, compare=False)
-    sl2_entries: Optional[np.ndarray] = dataclasses.field(  # (order, 4): a, b, c, d
-        default=None, init=False, repr=False, compare=False)
     derived: dict = dataclasses.field(  # per_group results, keyed by function
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -179,12 +176,12 @@ def _verify_radix(gt: GroupTable) -> None:
 
 
 def make_group(table: np.ndarray, identity: int, label: str = "table",
-               field_spec=None, radix: tuple = ()) -> GroupTable:
+               field_spec=None, radix: tuple = (), coords=None) -> GroupTable:
     """The GroupTable of a multiplication table of order at most TABLE_CAP."""
     if len(table) > ffield.TABLE_CAP:
         raise OrderCap(f"group order {len(table)} exceeds dense table cap {ffield.TABLE_CAP}")
     return GroupTable(table=table, identity=identity, label=label, field=field_spec,
-                      radix=radix)
+                      radix=radix, coords=coords or {})
 
 
 # -- constructors -------------------------------------------------------------
@@ -193,19 +190,16 @@ def additive_group(spec: FieldSpec) -> GroupTable:
     """(F_q, +) with element ids equal to field element indices: the
     coefficient digits (c0, ..., c_{n-1}), c0 most significant."""
     fops = ops(spec)
-    gt = make_group(fops.add_table(), fops.zero_index, label="additive",
-                    field_spec=spec, radix=(spec.p,) * spec.n)
-    gt.field_ids = readonly(np.arange(spec.q))
-    return gt
+    return make_group(fops.add_table(), fops.zero_index, label="additive", field_spec=spec,
+                      radix=(spec.p,) * spec.n, coords={"x": readonly(np.arange(spec.q))})
 
 
 def multiplicative_group(spec: FieldSpec) -> GroupTable:
     """(F_q^*, ·); group id e corresponds to field index e + 1."""
     fops = ops(spec)
     mt = fops.mul_table()[1:, 1:].astype(np.int64) - 1
-    gt = make_group(mt, fops.one_index - 1, label="multiplicative", field_spec=spec)
-    gt.field_ids = readonly(np.arange(1, spec.q))
-    return gt
+    return make_group(mt, fops.one_index - 1, label="multiplicative", field_spec=spec,
+                      coords={"x": readonly(np.arange(1, spec.q))})
 
 
 def cyclic_group(n: int) -> GroupTable:
@@ -232,20 +226,21 @@ def sl2(spec: FieldSpec) -> GroupTable:
     key = ((a * q + b) * q + c) * q + d
     lookup = np.full(q ** 4, -1, dtype=np.int64)
     lookup[key] = np.arange(order)
-    # all pairwise products via field ops on broadcast id arrays
-    A, B, C, D = a[:, None], b[:, None], c[:, None], d[:, None]
-    pa = fops.add(fops.mul(A, a[None, :]), fops.mul(B, c[None, :]))
-    pb = fops.add(fops.mul(A, b[None, :]), fops.mul(B, d[None, :]))
-    pc = fops.add(fops.mul(C, a[None, :]), fops.mul(D, c[None, :]))
-    pd = fops.add(fops.mul(C, b[None, :]), fops.mul(D, d[None, :]))
-    table = lookup[((pa * q + pb) * q + pc) * q + pd]
-    if (table < 0).any():
-        raise NotAGroup(f"a product in SL2(F_{q}) has determinant other than 1")
+    # the products of q^2 rows at a time with every id, via field ops
+    table = np.empty((order, order), dtype=np.uint16)
+    for s in range(0, order, q * q):
+        A, B, C, D = [x[s:s + q * q, None] for x in (a, b, c, d)]
+        pa = fops.add(fops.mul(A, a), fops.mul(B, c))
+        pb = fops.add(fops.mul(A, b), fops.mul(B, d))
+        pc = fops.add(fops.mul(C, a), fops.mul(D, c))
+        pd = fops.add(fops.mul(C, b), fops.mul(D, d))
+        rows = lookup[((pa * q + pb) * q + pc) * q + pd]
+        if (rows < 0).any():
+            raise NotAGroup(f"a product in SL2(F_{q}) has determinant other than 1")
+        table[s:s + q * q] = rows
     ident = int(lookup[((fops.one_index * q + 0) * q + 0) * q + fops.one_index])
-    gt = make_group(table, ident, label="sl2", field_spec=spec)
-    gt.sl2_entries = np.stack([a, b, c, d], axis=1)
-    gt.field_ids = readonly(fops.add(a, d))  # the trace
-    return gt
+    return make_group(table, ident, label="sl2", field_spec=spec,
+                      coords=dict(zip("abcd", map(readonly, (a, b, c, d)))))
 
 
 def parse_group_literal(text: str, modulus=None) -> GroupTable:

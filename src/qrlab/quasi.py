@@ -75,7 +75,7 @@ def eps1_quasirandomness(bg: BipartiteGraph) -> Fraction:
     quadruples spanning a (possibly degenerate) 4-cycle, computed from the
     Gram matrix of the columns.
     """
-    m = bg.adj.astype(np.float64)
+    m = bg.adj.astype(np.float64)  # exact: every product and sum is below 2^53
     # exact whatever order BLAS sums in: partial sums are integers <= |W| < 2**53
     gram = (m.T @ m).astype(np.int64)  # (V, V): |N_v ∩ N_v'|
     c4 = int((gram * gram).sum())
@@ -98,7 +98,7 @@ def _eps2_scaled_max(m: np.ndarray) -> int:
     cols = np.arange(v_size)
     for start in range(0, 1 << v_size, block):
         nums = np.arange(start, min(start + block, 1 << v_size), dtype=np.int64)
-        masks = (nums[:, None] >> cols[None, :]) & 1  # (block, V)
+        masks = ((nums[:, None] >> cols[None, :]) & 1).astype(np.float64)  # (block, V)
         e = m @ masks.T  # (W, block): e_w(A)
         sizes = masks.sum(axis=1)  # (block,)
         d = vw * e - e_total * sizes[None, :]
@@ -117,7 +117,7 @@ def eps2_exact(bg: BipartiteGraph) -> Fraction:
     """
     if min(bg.v_size, bg.w_size) > EPS2_SIDE_CAP:
         raise SideTooLarge(f"smaller side exceeds {EPS2_SIDE_CAP}")
-    m = bg.adj.astype(np.int64)
+    m = bg.adj.astype(np.float64)  # exact: every product and sum is below 2^53
     if bg.v_size > bg.w_size:
         m = m.T  # enumerate over the smaller side; the defect is symmetric
     best = _eps2_scaled_max(m)

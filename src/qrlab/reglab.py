@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import defform, fourier, quasi
-from .errors import InadmissibleQ, NotSubset
+from .errors import InadmissibleQ, NotSubset, UnboundVariable
 from .ffield import FieldSpec, is_prime, make_field
 from .grp import (GroupTable, Subgroup, additive_group, cosets, cyclic_group,
                   multiplicative_group, normal_subgroups_up_to_index, sl2)
@@ -69,9 +69,18 @@ class Family:
 
 
 def connection_set(g: GroupTable, f: defform.Formula) -> np.ndarray:
-    """Mask of the ids whose field point g.field_ids lies in the set the
-    one-variable formula f defines over g.field."""
-    return defform.evaluate(f, g.field).membership[g.field_ids]
+    """Mask of the ids whose point lies in the set f defines over g.field,
+    read through the coordinates of g that f's free variables name, the
+    first most significant."""
+    if g.field is None:
+        raise UnboundVariable(f"{g} has no field to evaluate {f} over")
+    missing = [v for v in f.free_vars if v not in g.coords]
+    if missing:
+        raise UnboundVariable(f"{missing} are not coordinates of {g}: {sorted(g.coords)}")
+    cell = np.zeros(g.order, dtype=np.int64)
+    for v in f.free_vars:
+        cell = cell * g.field.q + g.coords[v]
+    return defform.evaluate(f, g.field).membership[cell]
 
 
 def _artin_schreier_formula(spec: FieldSpec) -> defform.Formula:
@@ -82,6 +91,7 @@ def _artin_schreier_formula(spec: FieldSpec) -> defform.Formula:
 def builtin_families() -> dict:
     """The four built-in sweep families, keyed by name."""
     square = lambda spec: defform.parse("exists y. x = y*y & !(x = 0)")
+    trace_square = lambda spec: defform.parse("exists y. a + d = y*y & !(a + d = 0)")
     cube = lambda spec: defform.parse("exists y. x = y*y*y & !(x = 0)")
     fams = [
         Family(name="paley",
@@ -94,7 +104,7 @@ def builtin_families() -> dict:
                admissible=lambda q, p, n: n >= 2),
         Family(name="sl2_trace_square",
                group_builder=sl2,
-               formula_of=square,
+               formula_of=trace_square,
                admissible=lambda q, p, n: p != 2),
         Family(name="mult_cubes",
                group_builder=multiplicative_group,
@@ -250,13 +260,15 @@ def analyse(g: GroupTable, d: np.ndarray, max_index: int) -> dict:
 def sweep(family: Family, qs, max_index: int = 1, seed: int = 0) -> SweepResult:
     """Runs the family at each q, searching for the best subgroup and fitting
     log-log decay of the worst coset eps1 and the translate Fourier eps.
-    Each row is the analyse record plus "q", "modulus" and "order_hash".
-    Every row is deterministic; ``seed`` is only recorded in the result."""
+    Each row is the analyse record less "outcome", plus "q", "modulus" and
+    "order_hash".  Every row is deterministic; ``seed`` is only recorded."""
     rows = []
     for q in sorted(qs):
         g, d, f = family.instantiate(q)
         spec = g.field
-        rows.append({"q": q, **analyse(g, d, max_index),
+        rec = analyse(g, d, max_index)
+        del rec["outcome"]  # it holds g; a row keeps only scalars
+        rows.append({"q": q, **rec,
                      "modulus": spec.modulus if spec else (),
                      "order_hash": spec.order_hash if spec else ""})
     nz = [r for r in rows if r["max_coset_eps1"] > 0]

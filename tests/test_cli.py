@@ -14,6 +14,7 @@ from qrlab import cli, defform, fourier, grp, quasi, reglab
 from qrlab.grp import parse_group_literal
 
 SQUARE = "exists y. x = y*y & !(x = 0)"
+TRACE_SQUARE = "exists y. a + d = y*y & !(a + d = 0)"
 
 
 def run(*args):
@@ -100,11 +101,11 @@ def _report_reference(group_text, formula_text, max_index):
     ("add:13", SQUARE, 1, False),
     ("add:3^4", "exists y. x = y*y*y - y", 3, False),
     ("mul:13", SQUARE, 4, True),
-    ("sl2:3", SQUARE, 3, True),
+    ("sl2:3", TRACE_SQUARE, 3, True),
     # The reference's one translate is D·t for t the smallest id, which on
     # SL2 is not the identity: a relabelling of D whose eps3 agrees with
     # D's up to the certified error, not to the last bit.
-    ("sl2:5", SQUARE, 1, False),
+    ("sl2:5", TRACE_SQUARE, 1, False),
 ])
 def test_report_matches_reference(group_text, formula_text, max_index, exact):
     res = run("report", "--group", group_text, "--set-formula", formula_text,
@@ -266,6 +267,20 @@ def test_max_index_below_one_exit_code(monkeypatch, capsys, argv):
         cli.main()
     assert exc.value.code == 1
     assert capsys.readouterr().err.startswith("error: max index")
+
+
+@pytest.mark.parametrize("group_text, formula_text", [
+    ("sl2:5", SQUARE),  # sl2's coordinates are a, b, c, d
+    ("add:13", "x = y"),
+])
+def test_report_formula_off_the_coordinates_exit_code(monkeypatch, capsys,
+                                                       group_text, formula_text):
+    monkeypatch.setattr("sys.argv", ["qr", "report", "--group", group_text,
+                                     "--set-formula", formula_text])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_help_exits_zero():

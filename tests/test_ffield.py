@@ -161,6 +161,16 @@ def test_vectorized_tables():
     assert (mt[0] == 0).all()
 
 
+def test_tables_match_the_ops_and_are_not_kept():
+    for p, n in ((5, 1), (2, 3), (3, 2)):
+        fops = ffield.ops(ffield.make_field(p, n))
+        i, j = np.meshgrid(np.arange(p ** n), np.arange(p ** n), indexing="ij")
+        for table, op in ((fops.add_table, fops.add), (fops.mul_table, fops.mul)):
+            t = table()
+            assert t.dtype == np.uint16 and np.array_equal(t, op(i, j))
+            assert table() is not t  # ops() caches a FieldOps per field, not its tables
+
+
 def test_pow_vectorized():
     f = ffield.make_field(13)
     fops = ffield.ops(f)

@@ -16,7 +16,7 @@ import pytest
 from qrlab import fourier, grp
 from qrlab.errors import (NotAbelian, NotAGroup, NotNormalWhenRequired,
                           OrderCap, QrlabError)
-from qrlab.ffield import make_field
+from qrlab.ffield import make_field, ops
 
 # Latin squares with identity 0 that are not associative, so not groups.
 LOOP_PHASES = [[0, 1, 2, 3, 4, 5, 6], [1, 6, 3, 2, 0, 4, 5],
@@ -94,9 +94,35 @@ def test_sl2_orders_match_formula():
 
 def test_sl2_identity_is_identity_matrix():
     g = grp.sl2(make_field(3))
-    a, b, c, d = g.sl2_entries[g.identity]
     one = make_field(3).one().index
-    assert (a, b, c, d) == (one, 0, 0, one)
+    assert tuple(int(g.coords[v][g.identity]) for v in "abcd") == (one, 0, 0, one)
+
+
+@pytest.mark.parametrize("build, p, n, names", [
+    (grp.additive_group, 3, 2, ["x"]),
+    (grp.multiplicative_group, 13, 1, ["x"]),
+    (grp.sl2, 3, 1, ["a", "b", "c", "d"]),
+    (grp.sl2, 2, 2, ["a", "b", "c", "d"]),
+    (grp.sl2, 5, 1, ["a", "b", "c", "d"]),
+])
+def test_coordinates_name_each_id_once(build, p, n, names):
+    spec = make_field(p, n)
+    g = build(spec)
+    assert list(g.coords) == names
+    points = np.stack([g.coords[v] for v in names], axis=1)
+    assert points.shape == (g.order, len(names)) and (points >= 0).all()
+    assert (points < spec.q).all() and not any(c.flags.writeable for c in g.coords.values())
+    assert len(np.unique(points, axis=0)) == g.order
+    if build is grp.sl2:
+        fops = ops(spec)
+        a, b, c, d = points.T
+        assert (fops.sub(fops.mul(a, d), fops.mul(b, c)) == fops.one_index).all()
+        assert points[g.identity].tolist() == [fops.one_index, 0, 0, fops.one_index]
+
+
+def test_groups_without_a_field_have_no_coordinates():
+    assert grp.cyclic_group(6).coords == {}
+    assert grp.make_group(grp.cyclic_group(6).table, 0).coords == {}
 
 
 def test_sl2_order_cap():

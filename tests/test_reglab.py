@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from qrlab import defform, fourier, grp, quasi, reglab
-from qrlab.errors import InadmissibleQ, NotSubset, QrlabError
-from qrlab.ffield import ops
+from qrlab.errors import InadmissibleQ, NotSubset, QrlabError, UnboundVariable
+from qrlab.ffield import make_field, ops
 
 ODD_PRIME_POWERS = [5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41,
                     43, 47, 49, 53, 59, 61]
@@ -60,25 +60,31 @@ def test_mult_cubes_family():
 def test_sl2_trace_square_family():
     fam = reglab.builtin_families()["sl2_trace_square"]
     g, d, f = fam.instantiate(3)
-    assert g.order == 24
+    assert g.order == 24 and set(f.free_vars) == {"a", "d"}
     # sanity: membership depends only on the trace
-    from qrlab.ffield import make_field, ops
-    fops = ops(make_field(3))
-    trace = fops.add(g.sl2_entries[:, 0], g.sl2_entries[:, 3])
+    fops = ops(g.field)
+    trace = fops.add(g.coords["a"], g.coords["d"])
     for t in range(3):
         vals = d[trace == t]
         assert vals.all() or not vals.any()
 
 
-def connection_by_label(g, f):
-    """Reference: the per-group rule, dispatched on the group's label."""
+SQUARE = defform.parse("exists y. x = y*y & !(x = 0)")
+
+
+def connection_by_field_map(g, f):
+    """Reference: the one-field-map rule D = φ⁻¹(S), S the set of a
+    formula in x, φ the element on (F_q, ±) and the trace on SL2, read off
+    the coordinates.  On SL2, S is the square formula the trace family used
+    when the trace was its one field map."""
+    if g.label == "sl2":
+        fops = ops(g.field)
+        return defform.evaluate(SQUARE, g.field).membership[
+            fops.add(g.coords["a"], g.coords["d"])]  # the trace
     mask = defform.evaluate(f, g.field).membership
     if g.label == "additive":
         return mask
-    if g.label == "multiplicative":
-        return mask[1:]  # group id e is field index e + 1
-    fops = ops(g.field)
-    return mask[fops.add(g.sl2_entries[:, 0], g.sl2_entries[:, 3])]  # the trace
+    return mask[1:]  # group id e is field index e + 1
 
 
 def test_connection_set_matches_per_group_rules():
@@ -89,11 +95,46 @@ def test_connection_set_matches_per_group_rules():
                 g, d, f = fam.instantiate(q)
             except InadmissibleQ:
                 continue
-            want = connection_by_label(g, f)
+            want = connection_by_field_map(g, f)
             assert d.dtype == bool and d.shape == (g.order,), (fam.name, q)
             assert np.array_equal(d, want), (fam.name, q)
             kinds.add(g.label)
     assert kinds == {"additive", "multiplicative", "sl2"}
+
+
+def test_connection_set_of_a_sentence_is_all_or_nothing():
+    for g in (grp.additive_group(make_field(5)), grp.multiplicative_group(make_field(7)),
+              grp.sl2(make_field(3))):
+        assert reglab.connection_set(g, defform.parse("0 = 0")).tolist() == [True] * g.order
+        assert reglab.connection_set(g, defform.parse("0 = 1")).tolist() == [False] * g.order
+
+
+def test_connection_set_reads_the_first_free_variable_most_significant():
+    # over F_3, "b = c + 1" and "c = b + 1" define different sets
+    g = grp.sl2(make_field(3))
+    b, c = g.coords["b"], g.coords["c"]
+    for text, want in (("b = c + 1", b == (c + 1) % 3), ("c = b + 1", c == (b + 1) % 3),
+                       ("d = 0 & b = 1", (g.coords["d"] == 0) & (b == 1))):
+        assert np.array_equal(reglab.connection_set(g, defform.parse(text)), want), text
+
+
+def test_connection_set_unbound_variables():
+    sl2_3 = grp.sl2(make_field(3))
+    with pytest.raises(UnboundVariable, match=r"\['x'\] are not coordinates"):
+        reglab.connection_set(sl2_3, SQUARE)
+    with pytest.raises(UnboundVariable, match="not coordinates"):
+        reglab.connection_set(grp.additive_group(make_field(13)), defform.parse("x = y"))
+    for f in (SQUARE, defform.parse("0 = 0")):
+        with pytest.raises(UnboundVariable, match="no field"):
+            reglab.connection_set(grp.cyclic_group(5), f)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_sl2_upper_triangular_count(q):
+    # b = 0: a is any unit and fixes d = 1/a, c is free
+    g = grp.sl2(make_field(q))
+    d = reglab.connection_set(g, defform.parse("b = 0"))
+    assert int(d.sum()) == q * (q - 1)
 
 
 def test_subgroup_search_artin_schreier():
@@ -200,6 +241,14 @@ def test_sweep_paley():
         q = r["q"]
         assert abs(r["eps3"] - (np.sqrt(q) + 1) / (2 * q)) < 1e-6
         assert r["h_index"] == 1
+
+
+def test_sweep_rows_hold_no_outcome():
+    # the outcome holds the group through its subgroup; a row keeps scalars
+    for name, qs, max_index in (("paley", [5, 7], 1), ("artin_schreier", [4, 9], 3),
+                                ("sl2_trace_square", [3], 3), ("mult_cubes", [7], 6)):
+        res = reglab.sweep(reglab.builtin_families()[name], qs, max_index=max_index)
+        assert all("outcome" not in r for r in res.rows), name
 
 
 def test_sweep_single_q_has_no_slope():
