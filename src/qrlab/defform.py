@@ -23,8 +23,7 @@ punctuation (not a token).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -267,23 +266,19 @@ def _count_tokens(text: str) -> int:
     return sum(1 for k, v, _ in tokenize(text) if k != "eof" and (k, v) != ("punct", "."))
 
 
-def _walk_idents(node, bound, free_order, param_names, params_seen):
+def _walk_idents(node, bound, free_order, param_names):
     if isinstance(node, Var):
-        if node.name in bound:
-            return
-        if node.name in param_names:
-            params_seen.add(node.name)
-        elif node.name not in free_order:
+        if node.name not in bound | param_names and node.name not in free_order:
             free_order.append(node.name)
     elif isinstance(node, (TermOp, Eq, BoolOp)):
-        _walk_idents(node.left, bound, free_order, param_names, params_seen)
-        _walk_idents(node.right, bound, free_order, param_names, params_seen)
+        _walk_idents(node.left, bound, free_order, param_names)
+        _walk_idents(node.right, bound, free_order, param_names)
     elif isinstance(node, Not):
-        _walk_idents(node.body, bound, free_order, param_names, params_seen)
+        _walk_idents(node.body, bound, free_order, param_names)
     elif isinstance(node, Quant):
         if node.var in param_names:
             raise UnboundVariable(f"quantifier rebinds parameter {node.var!r}")
-        _walk_idents(node.body, bound | {node.var}, free_order, param_names, params_seen)
+        _walk_idents(node.body, bound | {node.var}, free_order, param_names)
 
 
 def _max_depth(node):
@@ -311,10 +306,6 @@ class Formula:
     def complexity(self) -> int:
         return complexity(self)
 
-    @property
-    def arity(self) -> int:
-        return len(self.free_vars)
-
     def serialize(self) -> str:
         return serialize(self.ast)
 
@@ -330,8 +321,7 @@ def parse(text: str, param_vars=()) -> Formula:
         k, v, pos = p.peek()
         raise FormulaSyntaxError(f"trailing input {v!r}", pos, expected=("end of input",))
     free_order: list[str] = []
-    params_seen: set[str] = set()
-    _walk_idents(ast, frozenset(), free_order, frozenset(param_vars), params_seen)
+    _walk_idents(ast, frozenset(), free_order, frozenset(param_vars))
     return Formula(ast=ast, free_vars=tuple(free_order), param_vars=tuple(param_vars))
 
 
@@ -348,14 +338,13 @@ class DefinableSet:
     """Exact solution set over F^arity as a dense membership bitset.
 
     membership is flattened C-order over the grid (q, ..., q) whose axes
-    follow source.free_vars; cell index = sum_i idx_i * q^(arity-1-i).
+    follow the free variables of the formula that defined it, in their
+    first-occurrence order; cell index = sum_i idx_i * q^(arity-1-i).
     """
 
     field: FieldSpec
     arity: int
     membership: np.ndarray  # bool, length q**arity
-    source: Optional[Formula] = None
-    params: dict = field(default_factory=dict, hash=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -454,5 +443,4 @@ def evaluate(f: Formula, field_spec: FieldSpec, params=None) -> DefinableSet:
     if result.shape != full_shape:
         result = np.broadcast_to(result, full_shape)
     membership = np.ascontiguousarray(result).reshape(-1).astype(bool)
-    return DefinableSet(field=field_spec, arity=arity, membership=membership,
-                        source=f, params=params)
+    return DefinableSet(field=field_spec, arity=arity, membership=membership)

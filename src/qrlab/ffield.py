@@ -172,9 +172,6 @@ class FieldSpec:
         blob = f"{self.p},{self.n},{self.modulus}".encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
-    def zero(self) -> "FieldElem":
-        return FieldElem(self, (0,) * self.n)
-
     def one(self) -> "FieldElem":
         return FieldElem(self, (1,) + (0,) * (self.n - 1))
 
@@ -315,9 +312,6 @@ class FieldOps:
     def sub(self, a, b):
         return self.encode((self.decode(a) - self.decode(b)) % self.spec.p)
 
-    def neg(self, a):
-        return self.encode((-self.decode(a)) % self.spec.p)
-
     def mul(self, a, b):
         p, n = self.spec.p, self.spec.n
         if n == 1:
@@ -363,8 +357,8 @@ class FieldOps:
             raise OrderOverflow(f"no dense table above q={TABLE_CAP}")
         idx = np.arange(q, dtype=np.int64)
         table = np.empty((q, q), dtype=np.uint16)
-        for i in range(q):
-            table[i] = op(np.int64(i), idx)
+        for s in range(0, q, 32):
+            table[s:s + 32] = op(idx[s:s + 32, None], idx)
         return table
 
 

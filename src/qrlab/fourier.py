@@ -7,8 +7,8 @@ operator norm at most eps.  That maximum is the eps3 of the Cayley graph
 the graph's eps1, from quasi.block_stats, which picks the kernel: a batched
 FFT on groups with a digit layout, the dense eigh and Gram elsewhere.
 Abelian groups additionally get the explicit character-sum route, and
-irreducible degrees are extracted from the class algebra for the
-degree-based quasirandomness bounds.
+every group gets its character table from the class algebra, whose
+degrees feed the degree-based quasirandomness bounds.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .quasi import FLOAT_SLACK, block_stats
 # unused here; perfbench/spans.py patches them on fourier
 from .quasi import cayley_bipartite, eps1_quasirandomness, eps3_spectral
 
-IRREP_CAP = 128  # irreducibles, i.e. conjugacy classes k: the class algebra costs k⁴
+IRREP_CAP = 128  # conjugacy classes k: the |H|·k class gather and the k³ eig
 CHAR_TOL = 1e-9
 
 
@@ -97,76 +97,59 @@ def subset_qr_characters(g: GroupTable, d: np.ndarray) -> SubsetQR:
 
 
 @per_group
-def _class_constants(g: GroupTable):
-    """Class multiplication data: returns (classes, class_of, action matrices).
+def character_table(g: GroupTable):
+    """Irreducible characters on the conjugacy classes: (degrees, chi), both
+    read-only, chi[r, c] the value of irreducible r on class c of
+    conjugacy_classes(g).  Rows run by degree, row 0 the trivial character.
 
-    mats[i][k, j] = a_{ijk} where K_i K_j = sum_k a_{ijk} K_k in the center
-    of the group algebra; a_{ijk} = #{(x,y) in C_i x C_j : xy in C_k}/|C_k|.
+    The central characters omega_r are the common left eigenvectors of the
+    class-sum matrices, a_ijk = #{x in C_i : x^-1 z in C_j} for any z in C_k,
+    so they are the eigenvectors of B, the transpose of one random combination
+    of those matrices, when B's eigenvalues are distinct.  Scaled to 1 at
+    the identity, d_r = sqrt(|H| / sum_c |omega_r(c)|^2/|C_c|) and
+    chi_r(c) = d_r omega_r(c)/|C_c|.  A draw is kept when every degree is an
+    integer and the rows are orthonormal under the class sizes; degenerate
+    draws are retried with fresh coefficients.
     """
     classes = conjugacy_classes(g)
     k = len(classes)
+    if k > IRREP_CAP:
+        raise OrderCap(f"{k} conjugacy classes exceed {IRREP_CAP}")
     class_of = np.empty(g.order, dtype=np.int64)
     for i, cls in enumerate(classes):
         class_of[cls] = i
-    sizes = np.array([len(c) for c in classes], dtype=np.int64)
-    mats = []
-    for i in range(k):
-        m = np.zeros((k, k), dtype=np.float64)
-        for j in range(k):
-            prods = g.table[np.ix_(classes[i], classes[j])]
-            m[:, j] = np.bincount(class_of[prods.ravel()], minlength=k) / sizes
-        mats.append(readonly(m))
-    return classes, readonly(class_of), tuple(mats)
+    sizes = np.array([len(c) for c in classes], dtype=np.float64)
+    # cell (j, c) of B collects x with x^-1 z_c in class j, z_c = min(C_c)
+    cells = (class_of[g.table[g.inv[:, None], [c[0] for c in classes]]] * k
+             + np.arange(k)).ravel()
+    ident = class_of[g.identity]
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        coeffs = rng.standard_normal(k)
+        b = np.bincount(cells, weights=np.repeat(coeffs[class_of], k),
+                        minlength=k * k).reshape(k, k)
+        vals, vecs = np.linalg.eig(b)
+        gaps = np.abs(vals[:, None] - vals)
+        np.fill_diagonal(gaps, np.inf)
+        if gaps.min() <= 1e-6 * max(1.0, float(np.abs(vals).max())):
+            continue
+        omega = vecs / vecs[ident]
+        d = np.sqrt(g.order / (np.abs(omega) ** 2 / sizes[:, None]).sum(axis=0))
+        degrees = np.rint(d)
+        chi = (degrees * omega).T / sizes
+        gram = (chi * sizes) @ chi.conj().T
+        if (np.abs(d - degrees).max() <= 1e-6
+                and np.abs(gram - g.order * np.eye(k)).max() <= 1e-6 * g.order):
+            rows = np.lexsort((-(chi @ sizes).real, degrees))
+            return (readonly(degrees[rows].astype(np.int64)),
+                    readonly(np.asarray(chi[rows], dtype=complex)))
+    raise DegeneracyNotResolved("class-sum eigendecomposition stayed degenerate")
 
 
 def irrep_dimensions(g: GroupTable, seed: int = 0) -> list:
-    """Multiset (sorted list) of irreducible character degrees.
-
-    Degrees come from simultaneous diagonalization of the class-sum action
-    matrices: a random real combination is eigendecomposed, each common
-    eigenvector gives the central character values omega_i, and the degree is
-    sqrt(|H| / sum_i |omega_i|^2/|C_i|) by column orthogonality.  Validated
-    by integrality and sum of squares = |H|; degenerate random combinations
-    are retried with fresh coefficients.
-    """
-    if len(conjugacy_classes(g)) > IRREP_CAP:
-        raise OrderCap(f"{len(conjugacy_classes(g))} conjugacy classes exceed {IRREP_CAP}")
-    classes, _, mats = _class_constants(g)
-    k = len(classes)
-    sizes = np.array([len(c) for c in classes], dtype=np.float64)
-    ident_class = next(i for i, c in enumerate(classes) if g.identity in c)
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        coeffs = rng.standard_normal(k)
-        b = sum(c * m for c, m in zip(coeffs, mats))
-        _, vecs = np.linalg.eig(b)
-        degrees = []
-        good = True
-        for col in range(k):
-            v = vecs[:, col]
-            m = int(np.argmax(np.abs(v)))
-            omega = np.array([(mat @ v)[m] / v[m] for mat in mats])
-            # validate the common-eigenvector property
-            resid = max(float(np.linalg.norm(mat @ v - w * v))
-                        for mat, w in zip(mats, omega))
-            if resid > 1e-6 * max(1.0, float(np.abs(omega).max())):
-                good = False
-                break
-            # normalize so the identity class has omega = 1
-            if abs(omega[ident_class]) < 1e-9:
-                good = False
-                break
-            omega = omega / omega[ident_class]
-            denom = float((np.abs(omega) ** 2 / sizes).sum())
-            d = np.sqrt(g.order / denom)
-            di = int(round(d))
-            if di < 1 or abs(d - di) > 1e-6:
-                good = False
-                break
-            degrees.append(di)
-        if good and sum(x * x for x in degrees) == g.order:
-            return sorted(degrees)
-    raise DegeneracyNotResolved("class-sum eigendecomposition stayed degenerate")
+    """Sorted irreducible degrees, read off character_table, whose draws are
+    fixed, so ``seed`` is accepted but not read."""
+    return sorted(character_table(g)[0].tolist())
 
 
 @dataclass

@@ -90,7 +90,7 @@ class GroupTable:
 
 def per_group(fn):
     """Memoizes fn(g) in g.derived, so data the table fixes (characters,
-    classes, class constants) is computed once per GroupTable instance.
+    classes, character tables) is computed once per GroupTable instance.
     Every caller shares the result, so fn returns its arrays read-only.
     """
     @wraps(fn)
@@ -322,14 +322,16 @@ def cosets(h: Subgroup) -> CosetDecomposition:
 
 
 def subgroup_group(h: Subgroup) -> GroupTable:
-    """The subgroup as a standalone GroupTable; id i is parent id elems[i]."""
+    """The subgroup as a standalone GroupTable; id i is parent id elems[i],
+    and keeps that id's coordinates."""
     g = h.parent
     elems = h.element_ids()
     reindex = np.full(g.order, -1, dtype=np.int64)
     reindex[elems] = np.arange(len(elems))
     table = reindex[g.table[np.ix_(elems, elems)]]
     ident = int(reindex[g.identity])
-    return make_group(table, ident, label="subgroup", field_spec=g.field)
+    return make_group(table, ident, label="subgroup", field_spec=g.field,
+                      coords={v: readonly(a[elems]) for v, a in g.coords.items()})
 
 
 def quotient_group(h: Subgroup) -> GroupTable:

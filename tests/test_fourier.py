@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qrlab import fourier, grp, quasi
-from qrlab.errors import NotAbelian, NotAGroup, OrderCap, RoundingNotCertified
+from qrlab import fourier, grp, quasi, reglab
+from qrlab.errors import (DegeneracyNotResolved, InadmissibleQ, NotAbelian,
+                          NotAGroup, OrderCap, RoundingNotCertified)
 from qrlab.ffield import make_field
 
 
@@ -149,6 +150,94 @@ def test_irrep_cap_counts_conjugacy_classes():
     assert sum(x * x for x in dims) == 720
     with pytest.raises(OrderCap, match="129 conjugacy classes"):
         fourier.irrep_dimensions(grp.cyclic_group(129))
+
+
+def _abelian_groups():
+    for n in range(1, 129):
+        yield grp.cyclic_group(n)
+    for q in range(2, 129):
+        try:
+            spec = make_field(*reglab.factor_prime_power(q))
+        except InadmissibleQ:
+            continue
+        yield grp.additive_group(spec)
+        yield grp.multiplicative_group(spec)
+
+
+def test_character_table_matches_the_abelian_phases():
+    count = 0
+    for g in _abelian_groups():
+        degrees, chi = fourier.character_table(g)
+        L, phases = grp.character_phases(g)
+        # every class of an abelian group is one id, so class c is id c
+        exact = np.exp(2j * np.pi * phases / L)
+        close = np.abs(chi[:, None, :] - exact[None, :, :]).max(axis=-1) <= 1e-9
+        assert (close.sum(axis=0) == 1).all() and (close.sum(axis=1) == 1).all(), g
+        assert close[0, 0] and (degrees == 1).all()
+        count += 1
+    assert count == 128 + 2 * 44  # 44 prime powers q <= 128
+
+
+def sl2_degrees(q):
+    """Fulton-Harris §5.2: the degrees of SL2(F_q), sorted."""
+    if q % 2 == 0:  # SL2 = PSL2
+        dims = [1, q] + [q + 1] * ((q - 2) // 2) + [q - 1] * (q // 2)
+    else:
+        dims = ([1, q] + [q + 1] * ((q - 3) // 2) + [q - 1] * ((q - 1) // 2)
+                + [(q + 1) // 2] * 2 + [(q - 1) // 2] * 2)
+    return sorted(dims)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+def test_character_table_sl2(q):
+    g = grp.sl2(make_field(*reglab.factor_prime_power(q)))
+    degrees, chi = fourier.character_table(g)
+    sizes = np.array([len(c) for c in grp.conjugacy_classes(g)])
+    assert sorted(degrees.tolist()) == sl2_degrees(q)
+    assert fourier.irrep_dimensions(g) == sl2_degrees(q)
+    assert np.abs(chi[0] - 1).max() <= 1e-9
+    # row and column orthogonality
+    k = len(sizes)
+    assert np.abs((chi * sizes) @ chi.conj().T - g.order * np.eye(k)).max() <= 1e-9 * g.order
+    assert np.abs(chi.conj().T @ chi - np.diag(g.order / sizes)).max() <= 1e-9 * g.order
+
+
+def _draws(monkeypatch, zeros):
+    """Makes fourier's generator give `zeros` all-zero draws, then normal ones."""
+    left = [zeros]
+
+    class Draws:
+        def __init__(self, seed):
+            self.rng = np.random.Generator(np.random.PCG64(seed))
+
+        def standard_normal(self, k):
+            if left[0]:
+                left[0] -= 1
+                return np.zeros(k)
+            return self.rng.standard_normal(k)
+
+    monkeypatch.setattr(np.random, "default_rng", Draws)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_character_table_retries_a_degenerate_draw(monkeypatch):
+    # a zero draw makes B = 0, so every eigenvalue is equal; it is skipped
+    # before anything is divided by its eigenvectors
+    _draws(monkeypatch, 1)
+    assert fourier.irrep_dimensions(grp.sl2(make_field(3))) == [1, 1, 1, 2, 2, 2, 3]
+    _draws(monkeypatch, 20)
+    with pytest.raises(DegeneracyNotResolved):
+        fourier.character_table(grp.sl2(make_field(3)))
+
+
+def test_irrep_dimensions_ignores_the_seed_and_reuses_the_table(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda b: calls.append(1) or eig(b))
+    g = grp.sl2(make_field(5))
+    assert {tuple(fourier.irrep_dimensions(g, seed=s)) for s in range(5)} == \
+        {tuple(sl2_degrees(5))}
+    assert len(calls) == 1
 
 
 def test_min_degree_bound_on_subsets():

@@ -555,11 +555,11 @@ def test_per_group_data_is_read_only():
         dec.reps[0] = 1
     with pytest.raises(ValueError):
         dec.coset_of[0] = 1
-    classes, class_of, mats = fourier._class_constants(s)
+    degrees, chi = fourier.character_table(s)
     with pytest.raises(ValueError):
-        class_of[0] = 1
+        degrees[0] = 2
     with pytest.raises(ValueError):
-        mats[0][0, 0] = 2.0
+        chi[0, 0] = 2.0
 
 
 def test_grp_and_fourier_share_entry_points():

@@ -129,6 +129,22 @@ def test_connection_set_unbound_variables():
             reglab.connection_set(grp.cyclic_group(5), f)
 
 
+def test_subgroup_group_keeps_its_coordinates():
+    # the index-3 Artin-Schreier image in GF(3^4), then SL2(3)'s normal Q8
+    g = grp.additive_group(make_field(3, 4))
+    h = grp.Subgroup(parent=g, members=reglab.connection_set(
+        g, defform.parse("exists y. x = y*y*y - y")))
+    s = grp.sl2(make_field(3))
+    q8 = next(n for n in grp.normal_subgroups_up_to_index(s, 3) if n.index == 3)
+    for h, f in ((h, SQUARE), (q8, defform.parse("b = 0"))):
+        assert h.index == 3
+        assert np.array_equal(reglab.connection_set(grp.subgroup_group(h), f),
+                              reglab.connection_set(h.parent, f)[h.element_ids()])
+        # a coset has no single point
+        with pytest.raises(UnboundVariable):
+            reglab.connection_set(grp.quotient_group(h), f)
+
+
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_sl2_upper_triangular_count(q):
     # b = 0: a is any unit and fixes d = 1/a, c is free
