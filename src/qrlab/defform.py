@@ -1,5 +1,5 @@
-"""First-order ring-language formulas with parameters, and their brute-force
-evaluation over finite fields.
+"""First-order ring-language formulas with parameters, their evaluation over
+finite fields, and the size of the sets they define.
 
 Grammar (text form)::
 
@@ -348,7 +348,7 @@ class DefinableSet:
 
     @property
     def size(self) -> int:
-        return int(self.membership.sum())
+        return int(np.count_nonzero(self.membership))
 
     def to_rle(self) -> dict:
         """Run-length encoding with an enumeration-order header."""
@@ -393,6 +393,48 @@ def _eval_term(node, fops, env, ndims):
     raise TypeError(f"not a term node: {node!r}")
 
 
+def _names(node) -> set:
+    """The variable and parameter names free in a term or formula node."""
+    out: list[str] = []
+    _walk_idents(node, frozenset(), out, frozenset())
+    return set(out)
+
+
+def _conjuncts(node) -> list:
+    if isinstance(node, BoolOp) and node.op == "&":
+        return _conjuncts(node.left) + _conjuncts(node.right)
+    return [node]
+
+
+def _image(node, fops, env, ndims):
+    """exists y1 ... yk. s = t & C, with t in the ys, constants and
+    parameters, and neither s nor the other conjuncts C mentioning a y, is
+    (t's values read at s) & C, since exists y. (A & C) = (exists y. A) & C:
+    t is scattered once over its q^k cells into a length-q mask.  None when
+    node has another shape."""
+    ys = set()
+    while isinstance(node, Quant) and node.kind == "exists":
+        ys.add(node.var)
+        node = node.body
+    conjuncts = _conjuncts(node)
+    bound = [i for i, c in enumerate(conjuncts) if _names(c) & ys]
+    if len(bound) != 1 or not isinstance(conjuncts[bound[0]], Eq):
+        return None
+    atom = conjuncts.pop(bound[0])
+    for s, t in ((atom.left, atom.right), (atom.right, atom.left)):
+        t_ys = _names(t) - {name for name, (kind, _) in env.items() if kind == "const"}
+        if _names(s) & ys or not t_ys <= ys:
+            continue
+        t_env = dict(env, **{y: ("axis", i) for i, y in enumerate(sorted(t_ys))})
+        mask = np.zeros(fops.spec.q, dtype=bool)
+        mask[np.ravel(_eval_term(t, fops, t_env, len(t_ys)))] = True
+        out = mask[_eval_term(s, fops, env, ndims)]
+        for c in conjuncts:
+            out = out & _eval_formula(c, fops, env, ndims)
+        return out
+    return None
+
+
 def _eval_formula(node, fops, env, ndims):
     if isinstance(node, Eq):
         a = _eval_term(node.left, fops, env, ndims)
@@ -405,6 +447,9 @@ def _eval_formula(node, fops, env, ndims):
         b = _eval_formula(node.right, fops, env, ndims)
         return (a & b) if node.op == "&" else (a | b)
     if isinstance(node, Quant):
+        image = _image(node, fops, env, ndims)
+        if image is not None:
+            return image
         env2 = dict(env)
         env2[node.var] = ("axis", ndims)
         body = _eval_formula(node.body, fops, env2, ndims + 1)
@@ -416,31 +461,60 @@ def _eval_formula(node, fops, env, ndims):
     raise TypeError(f"not a formula node: {node!r}")
 
 
-def evaluate(f: Formula, field_spec: FieldSpec, params=None) -> DefinableSet:
-    """Exact solution set of f over field_spec^arity by exhaustive search."""
+def _param_env(f: Formula, field_spec: FieldSpec, params) -> dict:
+    """The env entry ("const", index) of each of f's parameters."""
     params = dict(params or {})
     missing = [v for v in f.param_vars if v not in params]
     if missing:
         raise UnboundVariable(f"parameters not assigned: {missing}")
-    q = field_spec.q
-    arity = len(f.free_vars)
-    depth = _max_depth(f.ast)
-    if q ** (arity + depth) > CELL_CAP:
-        raise ArityTooLarge(
-            f"q^(arity+depth) = {q}^{arity + depth} exceeds the cell cap {CELL_CAP}")
-    fops = ops(field_spec)
     env = {}
-    for i, v in enumerate(f.free_vars):
-        env[v] = ("axis", i)
     for name, val in params.items():
         if hasattr(val, "index"):
             idx = val.index if isinstance(val.index, int) else field_spec.index(val)
         else:
             idx = field_spec.from_int(int(val)).index
         env[name] = ("const", idx)
-    result = np.asarray(_eval_formula(f.ast, fops, env, arity))
+    return env
+
+
+def _check_cells(q: int, axes: int) -> None:
+    if q ** axes > CELL_CAP:
+        raise ArityTooLarge(f"a grid of {q}^{axes} cells exceeds the cell cap {CELL_CAP}")
+
+
+def evaluate(f: Formula, field_spec: FieldSpec, params=None) -> DefinableSet:
+    """Exact solution set of f over field_spec^arity, on the grid of its free
+    and bound variables but for the existential images that _image scatters."""
+    env = _param_env(f, field_spec, params)
+    q = field_spec.q
+    arity = len(f.free_vars)
+    _check_cells(q, arity + _max_depth(f.ast))
+    for i, v in enumerate(f.free_vars):
+        env[v] = ("axis", i)
+    result = _eval_formula(f.ast, ops(field_spec), env, arity)
     full_shape = (q,) * arity
-    if result.shape != full_shape:
+    if np.shape(result) != full_shape:
         result = np.broadcast_to(result, full_shape)
-    membership = np.ascontiguousarray(result).reshape(-1).astype(bool)
+    membership = np.ascontiguousarray(result, dtype=bool).reshape(-1)
     return DefinableSet(field=field_spec, arity=arity, membership=membership)
+
+
+def count(f: Formula, field_spec: FieldSpec, params=None) -> int:
+    """|set f defines over field_spec^arity|, without its grid when f is one
+    atom whose two sides share no variable: each side is evaluated on the
+    grid of its own variables, and the count is the dot product of the two
+    sides' value histograms.  Every other formula is counted by evaluate."""
+    sides = (f.ast.left, f.ast.right) if isinstance(f.ast, Eq) else ()
+    names = [[v for v in f.free_vars if v in side] for side in map(_names, sides)]
+    if not sides or set(names[0]) & set(names[1]):
+        return evaluate(f, field_spec, params).size
+    env = _param_env(f, field_spec, params)
+    q = field_spec.q
+    _check_cells(q, max(map(len, names)))
+    hists = []
+    for side, side_names in zip(sides, names):
+        side_env = dict(env, **{v: ("axis", i) for i, v in enumerate(side_names)})
+        values = _eval_term(side, ops(field_spec), side_env, len(side_names))
+        values = np.broadcast_to(values, (q,) * len(side_names))
+        hists.append(np.bincount(values.ravel(), minlength=q))
+    return int(hists[0] @ hists[1])

@@ -100,7 +100,8 @@ def subset_qr_characters(g: GroupTable, d: np.ndarray) -> SubsetQR:
 def character_table(g: GroupTable):
     """Irreducible characters on the conjugacy classes: (degrees, chi), both
     read-only, chi[r, c] the value of irreducible r on class c of
-    conjugacy_classes(g).  Rows run by degree, row 0 the trivial character.
+    conjugacy_classes(g).  Rows run by degree, then by their values on the
+    classes in class order, row 0 the trivial character.
 
     The central characters omega_r are the common left eigenvectors of the
     class-sum matrices, a_ijk = #{x in C_i : x^-1 z in C_j} for any z in C_k,
@@ -111,6 +112,8 @@ def character_table(g: GroupTable):
     integer and the rows are orthonormal under the class sizes; degenerate
     draws are retried with fresh coefficients.
     """
+    if g.is_abelian and g.order > IRREP_CAP:  # every id is a class
+        raise OrderCap(f"{g.order} conjugacy classes exceed {IRREP_CAP}")
     classes = conjugacy_classes(g)
     k = len(classes)
     if k > IRREP_CAP:
@@ -140,7 +143,10 @@ def character_table(g: GroupTable):
         gram = (chi * sizes) @ chi.conj().T
         if (np.abs(d - degrees).max() <= 1e-6
                 and np.abs(gram - g.order * np.eye(k)).max() <= 1e-6 * g.order):
-            rows = np.lexsort((-(chi @ sizes).real, degrees))
+            # equal degrees by descending rounded values on the classes in
+            # class order, real parts first: the trivial character comes first
+            key = np.round(-chi, 6)
+            rows = np.lexsort((*key.imag.T[::-1], *key.real.T[::-1], degrees))
             return (readonly(degrees[rows].astype(np.int64)),
                     readonly(np.asarray(chi[rows], dtype=complex)))
     raise DegeneracyNotResolved("class-sum eigendecomposition stayed degenerate")

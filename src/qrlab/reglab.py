@@ -323,7 +323,7 @@ def estimate_dim_measure(f: defform.Formula, qs, params=None,
     for q in sorted(qs):
         p, n = factor_prime_power(q)
         spec = make_field(p, n)
-        counts[q] = defform.evaluate(f, spec, params=params).size
+        counts[q] = defform.count(f, spec, params=params)
     if all(c == 0 for c in counts.values()):
         return DimMeasure(d=None, r=None, residual=0.0, empty=True,
                           counts=counts)
@@ -370,7 +370,7 @@ def check_ratio_stability(a: defform.Formula, b: defform.Formula, qs,
         bm = defform.evaluate(b, spec, params=params).membership
         if am.shape != bm.shape or (am & ~bm).any():
             raise NotSubset(f"A is not contained in B at q={q}")
-        sizes[q] = (int(am.sum()), int(bm.sum()))
+        sizes[q] = (int(np.count_nonzero(am)), int(np.count_nonzero(bm)))
     if all(na == 0 for na, _ in sizes.values()):
         return RatioStability(q_star=Fraction(0), c_empirical=0.0, per_q=sizes)
     ratios = {q: na / nb for q, (na, nb) in sizes.items() if nb > 0}

@@ -176,3 +176,138 @@ def test_complexity_counts_tokens_not_dots():
     # negation operand is always parenthesized in canonical form
     assert defform.parse("!(x = 0)").complexity == 6
     assert defform.parse("! x = 0").complexity == 6
+
+
+# -- structured routes against the grid -------------------------------------------
+
+FIELDS_TO_50 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+                (13, 1), (2, 4), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3), (29, 1),
+                (31, 1), (2, 5), (37, 1), (41, 1), (43, 1), (47, 1), (7, 2)]
+REFERENCE_CELLS = 2 ** 17  # every formula with 3 axes at q <= 50
+
+# (text, parameter names): the formulas of the tests above, the counting
+# workload's five, the four family formulas and parameterised atoms
+KNOWN = [
+    ("exists y. x = y*y & !(x = 0)", ()), ("x = 0", ()), ("x = x", ()),
+    ("y + x = z & x = y", ()), ("x = a*a + b", ("a", "b")), ("exists y. x = y", ()),
+    ("x = 0 -> x = 1", ()), ("x = 0 -> x = 1 -> x = x", ()),
+    ("exists y. x = y & y = 0", ()), ("x - (y - z) = 0", ()), ("x - y - z = 0", ()),
+    ("(x + y) * z = 0", ()), ("x * (y * z) = 0", ()), ("x*y + z = 0", ()),
+    ("exists y. x = y*y - y", ()), ("x * (y + z) = x*y + x*z", ()),
+    ("forall y. x * y = y * x", ()), ("x = x & !(x = x)", ()),
+    ("x = 0 -> x * x = 0", ()), ("x = a*a", ("a",)), ("x = y", ()),
+    ("exists u. exists v. x = u & y = v & z = u*v", ()),
+    ("forall y. x*y = y*x", ()), ("!(x = 0)", ()), ("! x = 0", ()),
+    ("y*y = x*x*x + x + 1", ()), ("x*x + y*y = z*z", ()),
+    ("exists y. exists z. x = y*y*y + z*z*z", ()),
+    ("exists y. a + d = y*y & !(a + d = 0)", ()), ("exists y. x = y*y*y & !(x = 0)", ()),
+    ("exists y. x = y*y*y - y", ()), ("exists y. x = y*y*y*y*y - y", ()), ("exists y. exists y. x = y*y", ()),
+    ("x*x + a = y*y*y", ("a",)), ("exists y. x + a = a*y*y & !(x = a)", ("a",)),
+    ("0 = 1", ()), ("1 = 1 + 1", ()),
+]
+
+
+def _grid(f, spec, params=None):
+    """Membership by the grid alone: the image route switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(defform, "_image", lambda *args: None)
+        return defform.evaluate(f, spec, params).membership
+
+
+def _random_formula(rng):
+    """A seeded formula in free x, y, z, bound u, v and the parameter a,
+    half of them in one of the two structured shapes."""
+    free, bound = ["x", "y", "z"], ["u", "v"]
+
+    def term(names, d):
+        if d == 0 or rng.random() < 0.3:
+            return rng.choice([Const(0), Const(1), Var("a")] + [Var(n) for n in names])
+        return TermOp(rng.choice("+-*"), term(names, d - 1), term(names, d - 1))
+
+    def formula(names, d):
+        r = rng.random()
+        if d == 0 or r < 0.3:
+            return Eq(term(names, 2), term(names, 2))
+        if r < 0.45:
+            return Not(formula(names, d - 1))
+        if r < 0.65:
+            v = rng.choice(bound)
+            return Quant(rng.choice(["exists", "forall"]), v, formula(names + [v], d - 1))
+        return BoolOp(rng.choice("&|"), formula(names, d - 1), formula(names, d - 1))
+
+    shape = rng.random()
+    if shape < 0.25:  # a separable atom
+        split = rng.randint(1, 2)
+        return Eq(term(free[:split], 3), term(free[split:], 3))
+    if shape < 0.5:  # an image, its binding atom either way round, with conditions
+        ys = bound[:rng.randint(1, 2)]
+        atom = [term(free[:rng.randint(1, 2)], 2), term(ys, 3)]
+        rng.shuffle(atom)
+        body = Eq(*atom)
+        for _ in range(rng.randint(0, 2)):
+            c = formula(free[:2], 1)
+            body = BoolOp("&", c, body) if rng.random() < 0.5 else BoolOp("&", body, c)
+        for y in reversed(ys):
+            body = Quant("exists", y, body)
+        return body
+    return formula(free[:2], 2)
+
+
+def _cases():
+    rng = random.Random(33)
+    for text, params in KNOWN:
+        yield defform.parse(text, param_vars=params)
+    for _ in range(200):
+        text = defform.serialize(_random_formula(rng))
+        uses_a = ("ident", "a") in [t[:2] for t in defform.tokenize(text)]
+        yield defform.parse(text, param_vars=("a",) if uses_a else ())
+
+
+@pytest.mark.parametrize("p, n", FIELDS_TO_50)
+def test_structured_routes_equal_the_grid(p, n):
+    spec = make_field(p, n)
+    checked = 0
+    for f in _cases():
+        cells = spec.q ** (len(f.free_vars) + defform._max_depth(f.ast))
+        if cells > REFERENCE_CELLS:
+            continue
+        params = {v: 2 for v in f.param_vars}
+        want = _grid(f, spec, params)
+        assert np.array_equal(defform.evaluate(f, spec, params).membership, want), f
+        assert defform.count(f, spec, params) == np.count_nonzero(want), f
+        checked += 1
+    assert checked >= 200
+
+
+def test_count_of_a_separable_atom_needs_no_grid_under_the_cap():
+    cone = defform.parse("x*x + y*y = z*z")
+    assert defform.count(cone, make_field(2, 9)) == 512 ** 2
+    with pytest.raises(ArityTooLarge):
+        defform.evaluate(cone, make_field(2, 9))
+    with pytest.raises(ArityTooLarge):  # the side x*x + y*y has 8209^2 cells
+        defform.count(cone, make_field(8209))
+
+
+def test_each_route_skips_the_grid(monkeypatch):
+    calls = {"evaluate": 0, "any": 0}
+    evaluate, any_ = defform.evaluate, np.any
+
+    def counted_evaluate(*a, **kw):
+        calls["evaluate"] += 1
+        return evaluate(*a, **kw)
+
+    def counted_any(*a, **kw):
+        calls["any"] += 1
+        return any_(*a, **kw)
+    monkeypatch.setattr(defform, "evaluate", counted_evaluate)
+    monkeypatch.setattr(np, "any", counted_any)
+    spec = make_field(3, 3)
+    for text in ("x*x + y*y = z*z", "y*y = x*x*x + x + 1"):
+        defform.count(defform.parse(text), spec)
+    assert calls == {"evaluate": 0, "any": 0}
+    for text in ("exists y. x = y*y & !(x = 0)", "exists y. exists z. x = y*y*y + z*z*z",
+                 "exists y. a + d = y*y & !(a + d = 0)", "exists y. x = y*y*y - y"):
+        defform.count(defform.parse(text), spec)
+    assert calls == {"evaluate": 4, "any": 0}
+    defform.count(defform.parse("exists y. x = y*y & y = x"), spec)  # two atoms bind y
+    assert calls == {"evaluate": 5, "any": 1}

@@ -230,6 +230,29 @@ def test_character_table_retries_a_degenerate_draw(monkeypatch):
         fourier.character_table(grp.sl2(make_field(3)))
 
 
+def test_character_table_caps_an_abelian_group_before_its_classes(monkeypatch):
+    def no_classes(g):
+        raise AssertionError("conjugacy_classes ran")
+    monkeypatch.setattr(fourier, "conjugacy_classes", no_classes)
+    with pytest.raises(OrderCap, match="^4096 conjugacy classes exceed 128$"):
+        fourier.irrep_dimensions(grp.cyclic_group(4096))
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
+def test_character_table_rows_do_not_follow_the_draw(monkeypatch, q):
+    # each draw gives B other eigenvectors in another order; the rows of
+    # equal degree are put in one order read from the group
+    g = grp.sl2(make_field(*reglab.factor_prime_power(q)))
+    default_rng = np.random.default_rng
+    tables = []
+    for seed in range(4):
+        monkeypatch.setattr(np.random, "default_rng", lambda _, s=seed: default_rng(s))
+        tables.append(fourier.character_table.__wrapped__(g))  # past the per-group cache
+    for degrees, chi in tables[1:]:
+        assert np.array_equal(degrees, tables[0][0])
+        assert np.abs(chi - tables[0][1]).max() <= 1e-9
+
+
 def test_irrep_dimensions_ignores_the_seed_and_reuses_the_table(monkeypatch):
     calls = []
     eig = np.linalg.eig
