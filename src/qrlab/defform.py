@@ -28,9 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArityTooLarge, FormulaSyntaxError, UnboundVariable
-from .ffield import FieldSpec, ops
-
-CELL_CAP = 2 ** 26
+from .ffield import CELL_CAP, FieldSpec, ops
 
 
 # -- AST ----------------------------------------------------------------------

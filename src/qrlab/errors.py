@@ -27,6 +27,14 @@ class FieldMismatch(QrlabError):
     pass
 
 
+class BadExtensionDegree(QrlabError):
+    pass
+
+
+class NotPrimitive(QrlabError):
+    """The powers of a field's generator do not run over its nonzero elements."""
+
+
 # -- formulas ---------------------------------------------------------------
 
 class FormulaSyntaxError(QrlabError):

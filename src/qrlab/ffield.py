@@ -5,7 +5,7 @@ irreducible modulus.  Every element also has a dense integer index; the
 enumeration order is lexicographic on the coefficient vector
 (c0, c1, ..., c_{n-1}), c0 compared first, so index(a) =
 sum_i c_i * p^(n-1-i).  Downstream modules work on indices; the
-coefficient form only appears at the arithmetic boundary.
+coefficient form only appears in FieldElem and in building FieldOps' tables.
 """
 
 from __future__ import annotations
@@ -16,10 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionByZero, FieldMismatch, NotPrime, OrderOverflow, ReducibleModulus
+from .errors import (BadExtensionDegree, DivisionByZero, FieldMismatch, NotPrime, NotPrimitive,
+                     OrderOverflow, ReducibleModulus)
 
 ORDER_CAP = 2 ** 63
 TABLE_CAP = 4096  # largest q of a dense op-table, largest order of a group table
+CELL_CAP = 2 ** 26  # cells of the largest grid, so its longest axis: the largest q FieldOps serves
+_BUILD_ROWS = 2 ** 16  # powers multiplied at a time while FieldOps builds its tables
 
 
 def is_prime(m: int) -> bool:
@@ -261,7 +264,7 @@ def make_field(p: int, n: int = 1, modulus=None) -> FieldSpec:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if n < 1:
-        raise ValueError("extension degree must be >= 1")
+        raise BadExtensionDegree(f"extension degree {n} is below 1")
     if p ** n >= ORDER_CAP:
         raise OrderOverflow(f"field order {p}^{n} exceeds 2^63")
     if modulus is None:
@@ -276,26 +279,34 @@ def make_field(p: int, n: int = 1, modulus=None) -> FieldSpec:
 
 
 class FieldOps:
-    """Vectorized index-space arithmetic for one field.
+    """Vectorized index-space arithmetic for one field of order q <= CELL_CAP.
 
-    All methods accept and return numpy integer arrays of element indices
-    (any broadcastable shapes).  Dense q-by-q tables are built on each call
-    for q <= TABLE_CAP.
+    All methods accept and return int64 arrays of element indices, of any
+    broadcastable shapes, 0-d included.  No arithmetic call splits an index
+    into its digits:
+
+    - GF(p): add and sub are one integer add or subtract and a conditional
+      correction by p; mul is (a*b) % p, exact in int64 since q <= CELL_CAP.
+    - GF(p^n), n > 1: mul, add and sub read the log/exp/Zech tables of a
+      primitive element g (Zech logarithms; Lidl-Niederreiter, *Finite Fields*).
+    - pow reads the same tables on every field.
+
+    The tables (see _tables) are built once per FieldOps, on the first call
+    that needs them; ops() caches a FieldOps per field.  Dense q-by-q
+    tables are built on each call for q <= TABLE_CAP.
     """
 
     def __init__(self, spec: FieldSpec):
+        if spec.q > CELL_CAP:
+            raise OrderOverflow(f"field order {spec.q} exceeds the cap {CELL_CAP} "
+                                "of vectorized arithmetic")
         self.spec = spec
         p, n = spec.p, spec.n
         self._weights = np.array([p ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-        # reduction rows: x^(n+j) mod modulus, j = 0 .. n-2, as digit vectors
-        self._red = np.zeros((n - 1, n), dtype=np.int64)
-        for j in range(n - 1):
-            row = _poly_powmod([0, 1], n + j, spec.modulus, p)
-            self._red[j, :len(row)] = row
         self.zero_index = 0
         self.one_index = spec.index(spec.one())
 
-    # -- digit codecs --------------------------------------------------------
+    # -- digit codecs, used only to build the tables -------------------------
 
     def decode(self, idx):
         idx = np.asarray(idx, dtype=np.int64)
@@ -304,43 +315,89 @@ class FieldOps:
     def encode(self, digits):
         return np.asarray(digits, dtype=np.int64) @ self._weights
 
+    # -- log/exp/Zech tables ---------------------------------------------------
+
+    @functools.cached_property
+    def _tables(self) -> "_Tables":
+        """The tables of the primitive element g of least index, E = q - 1.
+
+        - exp[k] = g^(k mod E) over two periods, k < 2E, so a sum of two
+          logs needs no reduction, then a zero tail: exp[2E..4E] = 0.
+        - log[g^k] = k, and log[0] = 2E points into the tail, so
+          exp[log a + log b] is a*b, zero operands included.
+        - zech[t], t in [E, 3E), is the log of 1 + g^(t - 2E), which is 2E
+          where 1 + g^(t - 2E) = 0.  Below E it is t - 2E and above 3E it
+          is 0, so that exp[log a + zech[log b - log a + 2E]] is a + b for
+          every a and b: a = 0 reads exp[log b], b = 0 reads exp[log a].
+        - neg[a] = -a = a·g^(E/2) for odd p, a for p = 2.
+
+        exp is built in log2(q) doubling steps: each multiplies the powers
+        so far by g^m, an F_p-linear map on their digits.  It must run over
+        the nonzero elements once each, or NotPrimitive is raised.
+        """
+        spec, p, q = self.spec, self.spec.p, self.spec.q
+        E = q - 1
+        exp = np.zeros(4 * E + 1, dtype=np.int64)
+        exp[0] = self.one_index
+        g, m = _primitive_element(spec), 1
+        basis = [FieldElem(spec, tuple(int(i == j) for i in range(spec.n)))
+                 for j in range(spec.n)]
+        while m < E:
+            times_g = np.array([(x * g).coeffs for x in basis], dtype=np.int64)
+            for s in range(0, min(m, E - m), _BUILD_ROWS):
+                k = min(s + _BUILD_ROWS, E - m)
+                exp[m + s:m + k] = self.encode(self.decode(exp[s:k]) @ times_g % p)
+            g, m = g * g, 2 * m
+        if not np.array_equal(np.bincount(exp[:E], minlength=q), np.arange(q) > 0):
+            raise NotPrimitive(f"the powers of a generator of {spec}^* miss an element")
+        exp[E:2 * E] = exp[:E]
+        log = np.empty(q, dtype=np.int64)
+        log[exp[:E]] = np.arange(E)
+        log[0] = 2 * E
+        zech = np.zeros(4 * E + 1, dtype=np.int64)
+        zech[:E] = np.arange(E) - 2 * E
+        # adding 1 adds 1 to the constant coefficient, the top digit of an index
+        zech[E:2 * E] = zech[2 * E:3 * E] = log[(exp[:E] + self.one_index) % q]
+        neg = exp[log + (E // 2 if p > 2 else 0)]
+        return _Tables(exp=exp, log=log, zech=zech, neg=neg)
+
+    def _zech_add(self, a, b):
+        """a + b = a·(1 + b/a), through the tables, zero operands included."""
+        t = self._tables
+        la, lb = t.log[a], t.log[b]
+        return t.exp[la + t.zech[lb - la + 2 * (self.spec.q - 1)]]
+
     # -- vectorized ops ------------------------------------------------------
 
     def add(self, a, b):
-        return self.encode((self.decode(a) + self.decode(b)) % self.spec.p)
+        a, b = _indices(a), _indices(b)
+        if self.spec.n > 1:
+            return self._zech_add(a, b)
+        p = self.spec.p
+        out = np.asarray(a + b)
+        np.subtract(out, p, out=out, where=out >= p)
+        return out
 
     def sub(self, a, b):
-        return self.encode((self.decode(a) - self.decode(b)) % self.spec.p)
+        a, b = _indices(a), _indices(b)
+        if self.spec.n > 1:
+            return self._zech_add(a, self._tables.neg[b])
+        out = np.asarray(a - b)
+        np.add(out, self.spec.p, out=out, where=out < 0)
+        return out
 
     def mul(self, a, b):
-        p, n = self.spec.p, self.spec.n
-        if n == 1:
-            return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % p
-        da, db = self.decode(a), self.decode(b)
-        da, db = np.broadcast_arrays(da, db)
-        shape = da.shape[:-1]
-        conv = np.zeros(shape + (2 * n - 1,), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                conv[..., i + j] += da[..., i] * db[..., j]
-        conv %= p
-        out = conv[..., :n].copy()
-        for j in range(n - 1):
-            out += conv[..., n + j, None] * self._red[j]
-        return self.encode(out % p)
+        a, b = _indices(a), _indices(b)
+        if self.spec.n > 1:
+            t = self._tables
+            return t.exp[t.log[a] + t.log[b]]
+        return (a * b) % self.spec.p
 
     def pow(self, a, e: int):
-        if e == 0:
-            return np.full_like(np.asarray(a, dtype=np.int64), self.one_index)
-        result = None
-        base = np.asarray(a, dtype=np.int64)
-        while e:
-            if e & 1:
-                result = base if result is None else self.mul(result, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return result
+        """a^e for e >= 0, with 0^0 = 1."""
+        a, t, E = _indices(a), self._tables, self.spec.q - 1
+        out = t.exp[t.log[a] * (e % E) % E]
+        return out if e == 0 else np.where(a == 0, 0, out)
 
     # -- dense tables --------------------------------------------------------
 
@@ -360,6 +417,28 @@ class FieldOps:
         for s in range(0, q, 32):
             table[s:s + 32] = op(idx[s:s + 32, None], idx)
         return table
+
+
+@dataclass(frozen=True)
+class _Tables:
+    exp: np.ndarray
+    log: np.ndarray
+    zech: np.ndarray
+    neg: np.ndarray
+
+
+def _indices(a):
+    return np.asarray(a, dtype=np.int64)
+
+
+def _primitive_element(spec: FieldSpec) -> FieldElem:
+    """The element of least index whose order is q - 1."""
+    one, E = spec.one(), spec.q - 1
+    for i in range(1, spec.q):
+        g = spec.element(i)
+        if all(g ** (E // r) != one for r in _prime_factors(E)):
+            return g
+    raise NotPrimitive(f"no element of {spec} generates its multiplicative group")
 
 
 @functools.lru_cache(maxsize=64)

@@ -248,6 +248,15 @@ def test_empty_qs_exit_code(monkeypatch, capsys, qs):
     assert capsys.readouterr().err.startswith("usage error: no field sizes in --qs")
 
 
+def test_field_above_the_cell_cap_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["qr", "eval", "--field", "4294967311",
+                                     "--param", "a=-1", "--formula", "a*a = 1"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("error: field order 4294967311 exceeds")
+
+
 def test_inadmissible_q_exit_code(monkeypatch):
     monkeypatch.setattr("sys.argv", ["qr", "sweep", "--family", "paley",
                                      "--qs", "8"])

@@ -9,7 +9,7 @@ import pytest
 
 from qrlab import defform
 from qrlab.defform import BoolOp, Const, Eq, Not, Quant, TermOp, Var
-from qrlab.errors import ArityTooLarge, FormulaSyntaxError, UnboundVariable
+from qrlab.errors import ArityTooLarge, FormulaSyntaxError, OrderOverflow, UnboundVariable
 from qrlab.ffield import make_field
 
 
@@ -286,6 +286,16 @@ def test_count_of_a_separable_atom_needs_no_grid_under_the_cap():
         defform.evaluate(cone, make_field(2, 9))
     with pytest.raises(ArityTooLarge):  # the side x*x + y*y has 8209^2 cells
         defform.count(cone, make_field(8209))
+
+
+@pytest.mark.parametrize("p", [4294967311, 2 ** 61 - 1])
+def test_ground_sentence_above_the_cell_cap_raises(p):
+    # no variable, so the grid check passes with q^0 cells, while (p-1)^2
+    # overflows int64 above p ~ 3.04e9
+    f = defform.parse("a*a = 1", param_vars=("a",))
+    for run in (defform.evaluate, defform.count):
+        with pytest.raises(OrderOverflow):
+            run(f, make_field(p), {"a": -1})
 
 
 def test_each_route_skips_the_grid(monkeypatch):

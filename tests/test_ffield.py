@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from qrlab import ffield
-from qrlab.errors import (DivisionByZero, NotPrime, OrderOverflow,
-                          ReducibleModulus)
+from qrlab.errors import (BadExtensionDegree, DivisionByZero, NotPrime, NotPrimitive,
+                          OrderOverflow, QrlabError, ReducibleModulus)
+
+FIELDS_TO_256 = [(p, n) for p in range(2, 257) if ffield.is_prime(p)
+                 for n in range(1, 9) if p ** n <= 256]
 
 
 def test_prime_field_arithmetic():
@@ -106,6 +109,33 @@ def test_not_prime_rejected():
 def test_order_overflow():
     with pytest.raises(OrderOverflow):
         ffield.make_field(2, 64)
+
+
+@pytest.mark.parametrize("p", [4294967311, 2 ** 61 - 1])
+def test_no_arithmetic_above_the_cell_cap(p):
+    # (p-1)^2 overflows int64 above p ~ 3.04e9; the cap refuses the field first
+    spec = ffield.make_field(p)
+    assert (spec.from_int(-1) * spec.from_int(-1)).index == 1  # scalar arithmetic stays
+    with pytest.raises(OrderOverflow):
+        ffield.ops(spec)
+
+
+def test_largest_prime_under_the_cell_cap():
+    p = 2 ** 26 - 5
+    assert ffield.is_prime(p) and p <= ffield.CELL_CAP
+    fops = ffield.ops(ffield.make_field(p))
+    assert fops.mul(p - 1, np.array([p - 1, p - 2])).tolist() == [1, 2]
+    assert fops.add(p - 1, np.array([1, p - 1])).tolist() == [0, p - 2]
+    assert fops.sub(0, np.array([0, 1])).tolist() == [0, p - 1]
+
+
+@pytest.mark.parametrize("make", [lambda: ffield.make_field(3, 0),
+                                  lambda: ffield.make_field(3, -1),
+                                  lambda: ffield.parse_field_literal("3^0")])
+def test_zero_extension_degree(make):
+    with pytest.raises(BadExtensionDegree) as exc:
+        make()
+    assert isinstance(exc.value, QrlabError)
 
 
 def test_enumeration_is_lexicographic():
@@ -220,3 +250,111 @@ def test_is_prime():
         assert ffield.is_prime(k) == (k in primes or k in
                                       {17, 19, 23, 29, 31, 37, 41, 43, 47,
                                        53, 59, 67})
+
+
+# -- the table routes against FieldElem ----------------------------------------
+
+def _reference(spec, i, j):
+    """(i + j, i - j, i * j) for index arrays i, j by FieldElem's coefficient
+    arithmetic: sums and differences coefficientwise, and the product
+    bilinear in the two coefficient vectors, with FieldElem's products of
+    the basis monomials x^s * x^t."""
+    p, n = spec.p, spec.n
+    digits = np.array([spec.element(k).coeffs for k in range(spec.q)])
+    weights = p ** np.arange(n - 1, -1, -1)
+    assert np.array_equal(digits @ weights, np.arange(spec.q))
+    basis = [ffield.FieldElem(spec, tuple(int(k == s) for k in range(n))) for s in range(n)]
+    prods = np.array([[(x * y).coeffs for y in basis] for x in basis])
+    a, b = digits[i], digits[j]
+    prod = sum(a[..., s, None] * (b @ prods[s]) for s in range(n))
+    return (a + b) % p @ weights, (a - b) % p @ weights, prod % p @ weights
+
+
+def _ops(fops, i, j):
+    return fops.add(i, j), fops.sub(i, j), fops.mul(i, j)
+
+
+def _assert_pow(spec, fops, a):
+    q = spec.q
+    for e in (0, 1, 2, q - 2, q - 1, q, 3 * q + 1):
+        want = [(spec.element(int(k)) ** e).index for k in a]
+        assert fops.pow(a, e).tolist() == want, e
+
+
+@pytest.mark.parametrize("p, n", FIELDS_TO_256)
+def test_every_pair_matches_field_elem(p, n):
+    spec = ffield.make_field(p, n)
+    fops = ffield.ops(spec)
+    i, j = np.arange(spec.q)[:, None], np.arange(spec.q)
+    for got, want in zip(_ops(fops, i, j), _reference(spec, i, j)):
+        assert got.shape == (spec.q, spec.q) and np.array_equal(got, want)
+    _assert_pow(spec, fops, np.arange(spec.q))  # 0^0 = 1, 0^e = 0 for e > 0
+
+
+@pytest.mark.parametrize("p, n", [(7, 1), (2, 1), (2, 4), (3, 2), (3, 5)])
+def test_zero_operands_0d_operands_and_broadcasting(p, n):
+    spec = ffield.make_field(p, n)
+    fops = ffield.ops(spec)
+    x = np.arange(spec.q)
+    assert np.array_equal(fops.add(x, 0), x) and np.array_equal(fops.add(0, x), x)
+    assert np.array_equal(fops.sub(x, 0), x)
+    assert (fops.add(x, fops.sub(0, x)) == 0).all()  # a + (-a)
+    assert (fops.sub(x, x) == 0).all()
+    assert (fops.mul(x, 0) == 0).all() and (fops.mul(0, x) == 0).all()
+    assert np.array_equal(fops.mul(x, fops.one_index), x)
+    # 0-d operands, as defform passes its constants and parameters
+    for a, b in itertools.product((0, fops.one_index, spec.q - 1), repeat=2):
+        for got, want in zip(_ops(fops, np.array(a), np.array(b)), _reference(spec, a, b)):
+            assert np.shape(got) == () and got == want
+        assert np.shape(fops.pow(np.array(a), 3)) == ()
+    i, j = x.reshape(spec.q, 1), np.array([0, fops.one_index, spec.q - 1]).reshape(1, 1, 3)
+    for got, want in zip(_ops(fops, i, j), _reference(spec, i, j)):
+        assert got.shape == (1, spec.q, 3) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p, n", [(2, 12), (3, 7), (5, 5), (2, 16)])
+def test_random_pairs_match_field_elem(p, n):
+    spec = ffield.make_field(p, n)
+    fops = ffield.ops(spec)
+    i, j = np.random.default_rng([p, n]).integers(spec.q, size=(2, 10 ** 5))
+    want = _reference(spec, i, j)
+    for got, w in zip(_ops(fops, i, j), want):
+        assert np.array_equal(got, w)
+    for k in range(300):  # the reference itself, pair by pair
+        a, b = spec.element(int(i[k])), spec.element(int(j[k]))
+        assert [w[k] for w in want] == [(a + b).index, (a - b).index, (a * b).index]
+    _assert_pow(spec, fops, np.concatenate([[0], i[:50]]))
+
+
+@pytest.mark.parametrize("p, n", [(3, 5), (2, 8)])
+def test_arithmetic_never_splits_an_index_into_digits(monkeypatch, p, n):
+    spec = ffield.make_field(p, n)
+    fops = ffield.ops(spec)
+    fops.mul(1, 1)  # builds the tables, the only user of the digit codecs
+
+    def codec(*args):
+        raise AssertionError("an arithmetic call went through the digit codecs")
+    monkeypatch.setattr(ffield.FieldOps, "decode", codec)
+    monkeypatch.setattr(ffield.FieldOps, "encode", codec)
+    i, j = np.arange(spec.q)[:, None], np.arange(spec.q)
+    for got, want in zip(_ops(fops, i, j), _reference(spec, i, j)):
+        assert np.array_equal(got, want)
+    _assert_pow(spec, fops, np.arange(spec.q))
+
+
+def test_tables_are_proven_as_they_are_built(monkeypatch):
+    # x^2 + 1 = (x + 1)^2 over GF(2): the powers of x are 1, x, 1
+    with pytest.raises(NotPrimitive):
+        ffield.FieldOps(ffield.FieldSpec(2, 2, (1, 0, 1))).mul(1, 1)
+    monkeypatch.setattr(ffield, "_primitive_element", lambda spec: spec.from_int(-1))
+    with pytest.raises(NotPrimitive):
+        ffield.FieldOps(ffield.make_field(3, 2)).pow(1, 2)
+
+
+def test_tables_built_a_few_rows_at_a_time(monkeypatch):
+    want = ffield.ops(ffield.make_field(3, 5))
+    monkeypatch.setattr(ffield, "_BUILD_ROWS", 5)
+    fops = ffield.FieldOps(ffield.make_field(3, 5))
+    i, j = np.arange(243)[:, None], np.arange(243)
+    for got, w in zip(_ops(fops, i, j), _ops(want, i, j)):
+        assert np.array_equal(got, w)

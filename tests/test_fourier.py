@@ -188,7 +188,7 @@ def sl2_degrees(q):
     return sorted(dims)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_character_table_sl2(q):
     g = grp.sl2(make_field(*reglab.factor_prime_power(q)))
     degrees, chi = fourier.character_table(g)
