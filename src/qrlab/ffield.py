@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BadExtensionDegree, DivisionByZero, FieldMismatch, NotPrime, NotPrimitive,
-                     OrderOverflow, ReducibleModulus)
+                     OrderOverflow, QrlabError, ReducibleModulus)
 
 ORDER_CAP = 2 ** 63
 TABLE_CAP = 4096  # largest q of a dense op-table, largest order of a group table
@@ -180,7 +180,7 @@ class FieldSpec:
 
     def element(self, index: int) -> "FieldElem":
         if not 0 <= index < self.q:
-            raise ValueError(f"index {index} out of range for field of order {self.q}")
+            raise QrlabError(f"index {index} out of range for field of order {self.q}")
         coeffs = []
         for i in range(self.n - 1, -1, -1):
             coeffs.append((index // self.p ** i) % self.p)
@@ -448,10 +448,9 @@ def ops(spec: FieldSpec) -> FieldOps:
 
 def parse_field_literal(text: str, modulus=None) -> FieldSpec:
     """CLI field literal: "p" or "p^n"."""
+    p_s, caret, n_s = text.partition("^")
     try:
-        if "^" in text:
-            p_s, n_s = text.split("^", 1)
-            return make_field(int(p_s), int(n_s), modulus)
-        return make_field(int(text), 1, modulus)
+        p, n = int(p_s), int(n_s) if caret else 1
     except ValueError as exc:
-        raise NotPrime(f"bad field literal {text!r}; expected p or p^n") from exc
+        raise QrlabError(f"bad field literal {text!r}; expected p or p^n") from exc
+    return make_field(p, n, modulus)

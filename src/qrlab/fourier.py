@@ -8,7 +8,8 @@ the graph's eps1, from quasi.block_stats, which picks the kernel: a batched
 FFT on groups with a digit layout, the dense eigh and Gram elsewhere.
 Abelian groups additionally get the explicit character-sum route, and
 every group gets its character table from the class algebra, whose
-degrees feed the degree-based quasirandomness bounds.
+degrees feed the degree-based quasirandomness bounds and whose kernels
+feed grp's normal-subgroup search on nonabelian groups.
 """
 
 from __future__ import annotations

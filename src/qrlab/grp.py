@@ -1,6 +1,6 @@
 """Concrete finite groups as dense multiplication tables, plus subgroups,
 cosets, conjugacy classes, abelian character phases, and normal-subgroup
-enumeration.
+enumeration as intersections of character kernels on every group.
 
 Element ids are dense integers 0..order-1.  Subsets of a group are boolean
 masks over ids, so all downstream counting is plain array algebra.
@@ -413,82 +413,66 @@ def character_phases(g: GroupTable):
 
 # -- normal subgroup enumeration ----------------------------------------------
 
-def _lattice_walk(start: np.ndarray, atoms, step) -> list:
-    """Every mask reachable from start by repeated step(mask, atom).
+def _character_kernels(g: GroupTable) -> np.ndarray:
+    """(k, order) bool masks, row r the kernel of irreducible character r.
 
-    step returns None for a mask outside the search, and the walk does not
-    go on from it.  More than SUBGROUP_LATTICE_CAP masks raise OrderCap.
+    Abelian groups read the exact phases of character_phases.  Other groups
+    read fourier.character_table, whose values are floats: chi_r(x) is a sum
+    of d_r roots of unity of order dividing o = ord(x), all 1 iff x is in
+    the kernel, and one of them otherwise has real part at most
+    cos(2 pi/o).  So d_r - Re chi_r(x) is 0 or at least 1 - cos(2 pi/o),
+    and half that gap separates the two.
     """
+    if g.is_abelian:
+        return character_phases(g)[1] == 0
+    from .fourier import character_table
+    degrees, chi = character_table(g)
+    classes = conjugacy_classes(g)
+    class_of = np.empty(g.order, dtype=np.intp)
+    for i, cls in enumerate(classes):
+        class_of[cls] = i
+    orders = np.maximum(g.element_orders[[c[0] for c in classes]], 2)
+    gap = (1 - np.cos(2 * np.pi / orders)) / 2
+    return (degrees[:, None] - chi.real < gap)[:, class_of]
+
+
+def normal_subgroups_up_to_index(g: GroupTable, max_index: int) -> list:
+    """All normal subgroups of index at most max_index (at least 1), each
+    verified, sorted by index and then by membership mask.
+
+    Every normal subgroup H is the intersection of the kernels of the
+    irreducible characters trivial on it (Isaacs, Character Theory of
+    Finite Groups, ch. 2), which are characters of G/H, so their kernels
+    have index at most [G:H].  An intersection only shrinks, so one walk down from G through
+    intersections of kernels, stopped wherever the index exceeds max_index,
+    finds every H on any group.  More than SUBGROUP_LATTICE_CAP results, or
+    a nonabelian group of more than fourier.IRREP_CAP classes, raise OrderCap.
+    """
+    if max_index < 1:
+        raise QrlabError(f"max index {max_index} is below 1")
+    if max_index == 1:
+        return [Subgroup(parent=g, members=np.ones(g.order, dtype=bool))]
+
+    def within(masks):
+        return g.order // masks.sum(axis=-1) <= max_index
+
+    kernels = _character_kernels(g)
+    kernels = kernels[within(kernels)]
+    start = np.ones(g.order, dtype=bool)
     lattice = {start.tobytes(): start}
     frontier = [start]
     while frontier:
         nxt = []
         for m in frontier:
-            for a in atoms:
-                u = step(m, a)
-                if u is None or u.tobytes() in lattice:
+            for k in kernels:
+                u = m & k
+                if not within(u) or u.tobytes() in lattice:
                     continue
                 lattice[u.tobytes()] = u
                 nxt.append(u)
                 if len(lattice) > SUBGROUP_LATTICE_CAP:
                     raise OrderCap(f"subgroup lattice exceeded {SUBGROUP_LATTICE_CAP} members")
         frontier = nxt
-    return list(lattice.values())
-
-
-def _abelian_normal_subgroups(g: GroupTable, max_index: int) -> list:
-    """Intersections of character kernels, walked down from the full group.
-
-    H is the intersection of the kernels of the characters trivial on it,
-    which are characters of G/H, so each kernel has index at most [G:H].
-    An intersection only shrinks, so stopping wherever the index exceeds
-    max_index still reaches every subgroup within it.
-    """
-    _, phases = character_phases(g)
-
-    def within(masks):
-        return g.order // masks.sum(axis=-1) <= max_index
-
-    def step(m, k):
-        u = m & k
-        return u if within(u) else None
-
-    kernels = phases == 0
-    masks = _lattice_walk(np.ones(g.order, dtype=bool), kernels[within(kernels)], step)
-    return [Subgroup(parent=g, members=m) for m in masks]
-
-
-def _nonabelian_normal_subgroups(g: GroupTable, max_index: int) -> list:
-    """Joins of normal closures of conjugacy classes, walked up from the
-    trivial subgroup.
-
-    Every normal subgroup is the join of the normal closures of the classes
-    it contains, so the walk reaches the whole normal-subgroup lattice;
-    small-index members are then filtered.
-    """
-    trivial = np.zeros(g.order, dtype=bool)
-    trivial[g.identity] = True
-    atoms = [_closure(g.table, trivial, cls) for cls in conjugacy_classes(g)]
-    join = lambda m, a: _closure(g.table, m, np.flatnonzero(a))
-    return [Subgroup(parent=g, members=m) for m in _lattice_walk(trivial, atoms, join)
-            if g.order // int(m.sum()) <= max_index]
-
-
-def normal_subgroups_up_to_index(g: GroupTable, max_index: int) -> list:
-    """All normal subgroups of index at most max_index (at least 1), each
-    verified.
-
-    Abelian groups intersect character kernels walking down from G;
-    nonabelian groups join normal closures of conjugacy classes walking up
-    from the trivial subgroup.
-    """
-    if max_index < 1:
-        raise QrlabError(f"max index {max_index} is below 1")
-    if max_index == 1:
-        return [Subgroup(parent=g, members=np.ones(g.order, dtype=bool))]
-    if g.is_abelian:
-        subs = _abelian_normal_subgroups(g, max_index)
-    else:
-        subs = _nonabelian_normal_subgroups(g, max_index)
+    subs = [Subgroup(parent=g, members=m) for m in lattice.values()]
     subs.sort(key=lambda s: (s.index, s.members.tobytes()))
     return subs

@@ -240,8 +240,17 @@ def test_default_modulus_search_runs_once():
 def test_parse_field_literal():
     assert ffield.parse_field_literal("13").q == 13
     assert ffield.parse_field_literal("3^2").q == 9
+    for bad in ("abc", "3^x", "^2"):
+        with pytest.raises(QrlabError, match="bad field literal") as err:
+            ffield.parse_field_literal(bad)
+        assert type(err.value) is QrlabError, bad
     with pytest.raises(NotPrime):
-        ffield.parse_field_literal("abc")
+        ffield.parse_field_literal("4")
+    with pytest.raises(BadExtensionDegree):
+        ffield.parse_field_literal("3^0")
+    with pytest.raises(QrlabError, match="out of range") as err:
+        ffield.make_field(2, 8).element(256)
+    assert type(err.value) is QrlabError
 
 
 def test_is_prime():

@@ -293,7 +293,7 @@ def test_subgroup_normality_and_cosets_match_references():
 
 
 def test_enumeration_verifies_one_subgroup_per_result(monkeypatch):
-    groups = [grp.sl2(make_field(3)), grp.sl2(make_field(5)), grp.cyclic_group(12)]
+    groups = [grp.sl2(make_field(3)), grp.sl2(make_field(5)), grp.cyclic_group(12), agl1(13)]
     built = []
     verify = grp.Subgroup.__post_init__
 
@@ -466,16 +466,118 @@ def abelian_groups_to_32():
     return groups
 
 
+def group_of(rows, product, base: int, label: str) -> grp.GroupTable:
+    """The group of the tuples `rows`, rows[0] its identity, ids in row
+    order.  product maps the columns of two tuples to the columns of their
+    product, each reduced modulo base here."""
+    x = np.array(rows)
+    weights = base ** np.arange(x.shape[1])
+    cols = product([c[:, None] for c in x.T], [c[None, :] for c in x.T])
+    lookup = np.full(base ** x.shape[1], -1)
+    lookup[x @ weights] = np.arange(len(x))
+    return grp.make_group(lookup[sum(c % base * w for c, w in zip(cols, weights))], 0,
+                          label=label)
+
+
+def dihedral(n: int) -> grp.GroupTable:
+    """Symmetries (r, s) of the n-gon: x -> (-1)^s x + r on Z/n."""
+    return group_of([(r, s) for s in (0, 1) for r in range(n)],
+                    lambda a, b: (a[0] + (1 - 2 * a[1]) * b[0], (a[1] + b[1]) % 2),
+                    n, f"D{2 * n}")
+
+
+def agl1(p: int) -> grp.GroupTable:
+    """Affine maps (a, b): x -> a x + b on F_p, a nonzero."""
+    return group_of([(a, b) for a in range(1, p) for b in range(p)],
+                    lambda x, y: (x[0] * y[0], x[0] * y[1] + x[1]), p, f"AGL1({p})")
+
+
+def ut3(p: int) -> grp.GroupTable:
+    """Unitriangular 3x3 matrices over F_p, (a, b, c) with a, b above the
+    diagonal and c in the corner."""
+    return group_of(list(itertools.product(range(p), repeat=3)),
+                    lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1]),
+                    p, f"UT3({p})")
+
+
+def gl2(p: int) -> grp.GroupTable:
+    """Invertible 2x2 matrices (a, b, c, d) over F_p."""
+    rows = sorted((m for m in itertools.product(range(p), repeat=4)
+                   if (m[0] * m[3] - m[1] * m[2]) % p), key=lambda m: m != (1, 0, 0, 1))
+    return group_of(rows, lambda x, y: (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+                                        x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3]),
+                    p, f"GL2({p})")
+
+
+def sl2_3_mod_center() -> grp.GroupTable:
+    g = grp.sl2(make_field(3))
+    center = (g.table == g.table.T).all(axis=1)
+    return grp.quotient_group(grp.Subgroup(parent=g, members=center))
+
+
+def nonabelian_groups():
+    return ([grp.sl2(make_field(p, n)) for p, n in
+             [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]]
+            + [dihedral(4), dihedral(6), agl1(5), agl1(13), ut3(3), ut3(5), gl2(3),
+               sl2_3_mod_center()])
+
+
+def normal_subgroups_by_joins(g: grp.GroupTable) -> list:
+    """Masks of every normal subgroup: joins of normal closures of conjugacy
+    classes, walked up from the trivial subgroup by product closure.  Every
+    normal subgroup is the join of the normal closures of the classes it
+    contains, so the walk reaches the whole normal-subgroup lattice."""
+    trivial = np.zeros(g.order, dtype=bool)
+    trivial[g.identity] = True
+    atoms = [grp._closure(g.table, trivial, cls) for cls in grp.conjugacy_classes(g)]
+    lattice = {trivial.tobytes(): trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for a in atoms:
+                u = grp._closure(g.table, m, np.flatnonzero(a))
+                if u.tobytes() not in lattice:
+                    lattice[u.tobytes()] = u
+                    nxt.append(u)
+        frontier = nxt
+    return list(lattice.values())
+
+
 def test_kernel_route_matches_join_walk():
-    # In an abelian group every class is a singleton, so the nonabelian
-    # route joins cyclic subgroups and reads no characters: an independent
-    # enumeration of the whole subgroup lattice.
-    for g in abelian_groups_to_32():
-        lattice = grp._nonabelian_normal_subgroups(g, g.order)
-        for m in range(1, g.order + 1):
-            want = sorted(s.members.tobytes() for s in lattice if s.index <= m)
-            got = sorted(s.members.tobytes() for s in grp._abelian_normal_subgroups(g, m))
-            assert got == want, (g.label, g.order, m)
+    # The reference reads conjugacy classes and products only, no characters
+    # (in an abelian group it joins cyclic subgroups): an enumeration
+    # independent of the kernel walk.  Every max index up to order 200,
+    # above it each index of the lattice and the one just above.
+    for g in abelian_groups_to_32() + nonabelian_groups():
+        lattice = [(g.order // int(m.sum()), m.tobytes()) for m in normal_subgroups_by_joins(g)]
+        indices = {i + d for i, _ in lattice for d in (0, 1)}
+        for m in range(1, g.order + 1) if g.order <= 200 else sorted(indices):
+            subs = grp.normal_subgroups_up_to_index(g, m)
+            got = [(s.index, s.members.tobytes()) for s in subs]
+            assert got == sorted(x for x in lattice if x[0] <= m), (g.label, g.order, m)
+            assert all(s.normal for s in subs), (g.label, g.order, m)
+
+
+def test_search_caps_a_nonabelian_character_table():
+    g = ut3(11)  # 11^2 + 11 - 1 = 131 conjugacy classes
+    with pytest.raises(OrderCap, match="131 conjugacy classes"):
+        grp.normal_subgroups_up_to_index(g, 2)
+    assert [s.index for s in grp.normal_subgroups_up_to_index(g, 1)] == [1]
+
+
+def test_a_wrong_kernel_fails_the_subgroup_proof(monkeypatch):
+    # a nontrivial character set to its degree on one class of order-5
+    # elements puts that class in its kernel, which is no subgroup
+    g = grp.sl2(make_field(5))
+    degrees, chi = fourier.character_table(g)
+    classes = grp.conjugacy_classes(g)
+    c = next(i for i, cls in enumerate(classes) if g.element_orders[cls[0]] == 5)
+    wrong = np.array(chi)
+    wrong[1, c] = degrees[1]
+    monkeypatch.setattr(fourier, "character_table", lambda h: (degrees, wrong))
+    with pytest.raises(QrlabError, match="^subgroup (size|not closed|must)"):
+        grp.normal_subgroups_up_to_index(g, 120)
 
 
 def test_subgroup_lattice_cap(monkeypatch):

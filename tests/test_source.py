@@ -57,3 +57,22 @@ def test_every_error_class_is_raised():
     assert declared, f"no error classes in {SRC / 'errors.py'}"
     assert sorted(f"errors.py:{line} {name}" for name, line in declared.items()
                   if name not in raised) == []
+
+
+def test_every_private_function_is_read():
+    # a private helper nothing in the package reads is dead code kept for the tests
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    defined = {}
+    read = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined[node.name] = f"{name}:{node.lineno}"
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert defined, f"no private functions under {SRC}"
+    assert sorted(loc for name, loc in defined.items() if name not in read) == []
